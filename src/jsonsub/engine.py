@@ -362,14 +362,18 @@ def check_inclusion(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> InclusionResult:
     """Decide inclusion between two raw Draft-06 schema values."""
+    s1, s2, env = _load_pair(left, right)
+    return check_inclusion_terms(s1, s2, env, max_steps=max_steps, timeout=timeout)
+
+
+def _load_pair(left: Any, right: Any) -> tuple[Schema, Schema, Env]:
+    """Load two documents into one environment holding both documents' bindings."""
     ldoc = load_document(left, "left")
     rdoc = load_document(right, "right")
     env = Env()
     env.bindings.update(ldoc.env.bindings)
     env.bindings.update(rdoc.env.bindings)
-    return check_inclusion_terms(
-        ldoc.root, rdoc.root, env, max_steps=max_steps, timeout=timeout
-    )
+    return ldoc.root, rdoc.root, env
 
 
 def _relation(fwd: InclusionResult, bwd: InclusionResult) -> str:
@@ -402,14 +406,8 @@ def check_equivalence(
     max_steps: int = DEFAULT_MAX_STEPS,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> EquivalenceResult:
-    ldoc = load_document(left, "left")
-    rdoc = load_document(right, "right")
-    env = Env()
-    env.bindings.update(ldoc.env.bindings)
-    env.bindings.update(rdoc.env.bindings)
-    return check_equivalence_terms(
-        ldoc.root, rdoc.root, env, max_steps=max_steps, timeout=timeout
-    )
+    s1, s2, env = _load_pair(left, right)
+    return check_equivalence_terms(s1, s2, env, max_steps=max_steps, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------

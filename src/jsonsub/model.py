@@ -34,10 +34,6 @@ class RefName:
         return ("!" if self.negated else "") + self.uri
 
 
-def negate_ref(name: RefName) -> RefName:
-    return name.negate()
-
-
 class CRef:
     """A set of signed reference names, read as the conjunction of their bodies."""
 

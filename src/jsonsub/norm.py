@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product as cartesian
 from typing import Iterable, Optional
@@ -99,19 +99,7 @@ class Stats:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "fast_path_hits": self.fast_path_hits,
-            "fast_path_misses": self.fast_path_misses,
-            "crefs_created": self.crefs_created,
-            "memo_hits": self.memo_hits,
-            "max_disjuncts": self.max_disjuncts,
-            "cs_calls": self.cs_calls,
-            "gen_rounds": self.gen_rounds,
-            "gen_budget_hits": self.gen_budget_hits,
-            "generation_invoked": self.generation_invoked,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 class FastFail(Exception):

@@ -4,9 +4,10 @@ Pattern expressions combine a regex subset, literal keys, and length
 bounds under boolean operations. Every expression compiles to a minimal
 DFA over Unicode code point intervals, which makes emptiness, inclusion,
 disjointness and example extraction all decidable. Compiled automata are
-cached per canonical expression, and the common relations have syntactic
-fast paths (key vs key, key vs a conjunction of key exclusions) that
-avoid touching automata at all.
+cached per canonical expression. Relations between expressions built from
+literal keys alone (finite name sets and their complements) are decided
+by set algebra without touching automata; the others test the reachable
+product of the two automata for an accepting state, without minimizing it.
 
 Regexes follow ECMA-262 search semantics: an unanchored pattern matches
 anywhere in the string, and ^/$ are honored wherever they occur. The
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import and_, or_
 from typing import Iterable, Optional
 
 from .errors import MalformedSchema, UnsupportedFeature, UnsupportedRegexFeature
@@ -228,24 +229,45 @@ def key_literal(e: PatternExpr) -> Optional[str]:
     return e.literal if isinstance(e, PKey) else None
 
 
-def excluded_keys(e: PatternExpr) -> Optional[frozenset[str]]:
-    """If e is 'everything except these literal keys', the excluded set."""
-    if isinstance(e, PNot) and isinstance(e.item, PKey):
-        return frozenset((e.item.literal,))
-    if isinstance(e, PNot) and isinstance(e.item, PAny):
-        lits = [key_literal(i) for i in e.item.items]
-        if all(l is not None for l in lits):
-            return frozenset(lits)  # type: ignore[arg-type]
-        return None
-    if isinstance(e, PAll):
-        acc: set[str] = set()
+_KeySet = tuple[frozenset[str], bool]
+
+_NO_NAMES: _KeySet = (frozenset(), False)
+_ALL_NAMES: _KeySet = (frozenset(), True)
+
+
+def _key_set(e: PatternExpr) -> Optional[_KeySet]:
+    """(names, cofinite) when e is a boolean combination of literal keys and
+    TOP: the language is `names`, or every string except `names` when
+    cofinite. None when deciding e needs an automaton."""
+    kind = type(e)
+    if kind is PKey:
+        return frozenset((e.literal,)), False
+    if kind is PNot:
+        inner = _key_set(e.item)
+        return None if inner is None else (inner[0], not inner[1])
+    if kind is PAll or kind is PAny:
+        # a union is the complement of the intersection of the complements
+        flip = kind is PAny
+        acc = _ALL_NAMES
         for it in e.items:
-            sub = excluded_keys(it)
+            sub = _key_set(it)
             if sub is None:
                 return None
-            acc |= sub
-        return frozenset(acc)
-    return None
+            acc = _meet(acc, (sub[0], sub[1] != flip))
+        return acc[0], acc[1] != flip
+    return _ALL_NAMES if kind is PMinLen and e.bound == 0 else None
+
+
+def _meet(a: _KeySet, b: _KeySet) -> _KeySet:
+    """Intersection of two key sets."""
+    (na, ca), (nb, cb) = a, b
+    if ca and cb:
+        return na | nb, True
+    if ca:
+        return nb - na, False
+    if cb:
+        return na - nb, False
+    return na & nb, False
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +686,6 @@ def _determinize(nfa: _Nfa) -> Dfa:
     order = [start_set]
     rows: list[tuple[tuple[int, int, int], ...]] = []
     accepting: set[int] = set()
-    dead: Optional[int] = None
 
     def state_id(s: frozenset[tuple[int, bool]]) -> int:
         if s not in ids:
@@ -690,105 +711,80 @@ def _determinize(nfa: _Nfa) -> Dfa:
             if prev >= mark:
                 continue
             lo, hi = prev, mark - 1
-            targets = {dst for elo, ehi, dst in edges if elo <= lo <= ehi}
-            if targets:
-                t = state_id(closure({(d, False) for d in targets}, False))
-            else:
-                if dead is None:
-                    dead = state_id(frozenset())
-                t = dead
-            if row and row[-1][2] == t and row[-1][1] + 1 == lo:
-                row[-1] = (row[-1][0], hi, t)
-            else:
-                row.append((lo, hi, t))
+            targets = {(dst, False) for elo, ehi, dst in edges if elo <= lo <= ehi}
+            _extend(row, lo, hi, state_id(closure(targets, False)))
             prev = mark
         rows.append(tuple(row))
         i += 1
 
-    return _minimize(Dfa(0, frozenset(accepting), tuple(rows)))
+    return Dfa(0, frozenset(accepting), tuple(rows))
+
+
+def _extend(row: list[tuple[int, int, int]], lo: int, hi: int, t: int) -> None:
+    """Append [lo, hi] -> t to a row built in order, merging with the last interval."""
+    if row and row[-1][2] == t:
+        row[-1] = (row[-1][0], hi, t)
+    else:
+        row.append((lo, hi, t))
 
 
 def _minimize(dfa: Dfa) -> Dfa:
+    """Hopcroft's algorithm over a block index.
+
+    Every DFA here is built breadth-first from its start state, so every
+    state, and hence every block, is reachable. Blocks are numbered by
+    their smallest state, which keeps the breadth-first numbering: equal
+    languages compile to equal DFAs.
+    """
     n = len(dfa.rows)
     marks = sorted({lo for row in dfa.rows for lo, _, _ in row})
-    n_sym = len(marks)
-    delta: list[tuple[int, ...]] = []
-    for row in dfa.rows:
-        targets = []
+    inv: list[dict[int, list[int]]] = [{} for _ in marks]  # symbol -> target -> sources
+    for q, row in enumerate(dfa.rows):
         ri = 0
-        for m in marks:
+        for k, m in enumerate(marks):
             while row[ri][1] < m:
                 ri += 1
-            targets.append(row[ri][2])
-        delta.append(tuple(targets))
+            inv[k].setdefault(row[ri][2], []).append(q)
 
-    inv: list[dict[int, list[int]]] = [dict() for _ in range(n_sym)]
-    for q in range(n):
-        for k in range(n_sym):
-            inv[k].setdefault(delta[q][k], []).append(q)
-
-    fin = frozenset(dfa.accepting)
-    non = frozenset(range(n)) - fin
-    partition: set[frozenset[int]] = {b for b in (fin, non) if b}
-    work: set[frozenset[int]] = set(partition)
-    while work:
-        a = work.pop()
-        for k in range(n_sym):
-            x = frozenset(q for t in a for q in inv[k].get(t, ()))
-            if not x:
-                continue
-            for y in list(partition):
-                inter = y & x
-                if not inter or inter == y:
-                    continue
-                diff = y - inter
-                partition.remove(y)
-                partition.add(inter)
-                partition.add(diff)
-                if y in work:
-                    work.remove(y)
-                    work.add(inter)
-                    work.add(diff)
-                else:
-                    work.add(inter if len(inter) <= len(diff) else diff)
-
+    blocks = [b for b in (set(dfa.accepting), set(range(n)) - dfa.accepting) if b]
     block_of = [0] * n
-    blocks = sorted(partition, key=min)
     for bi, block in enumerate(blocks):
         for q in block:
             block_of[q] = bi
+    work = set(range(len(blocks)))
+    while work:
+        splitter = list(blocks[work.pop()])
+        for pre in inv:
+            touched: dict[int, list[int]] = {}
+            for t in splitter:
+                for q in pre.get(t, ()):
+                    touched.setdefault(block_of[q], []).append(q)
+            for y, moved in touched.items():
+                if len(moved) == len(blocks[y]):
+                    continue
+                z = len(blocks)
+                blocks.append(set(moved))
+                blocks[y].difference_update(moved)
+                for q in moved:
+                    block_of[q] = z
+                work.add(z if y in work or len(moved) <= len(blocks[y]) else y)
 
-    # keep only blocks reachable from the start block
-    start_b = block_of[dfa.start]
-    reach = {start_b}
-    stack = [start_b]
-    rep_rows: dict[int, tuple[tuple[int, int, int], ...]] = {}
-    while stack:
-        b = stack.pop()
-        rep = min(blocks[b])
-        row = dfa.rows[rep]
-        merged: list[tuple[int, int, int]] = []
-        for lo, hi, t in row:
-            bt = block_of[t]
-            if merged and merged[-1][2] == bt and merged[-1][1] + 1 == lo:
-                merged[-1] = (merged[-1][0], hi, bt)
-            else:
-                merged.append((lo, hi, bt))
-        rep_rows[b] = tuple(merged)
-        for _, _, bt in merged:
-            if bt not in reach:
-                reach.add(bt)
-                stack.append(bt)
-
-    remap = {b: i for i, b in enumerate(sorted(reach))}
-    final_rows = []
-    for b in sorted(reach):
-        final_rows.append(tuple((lo, hi, remap[t]) for lo, hi, t in rep_rows[b]))
-    final_acc = frozenset(remap[b] for b in reach if blocks[b] & dfa.accepting)
-    return Dfa(remap[start_b], final_acc, tuple(final_rows))
+    first: dict[int, int] = {}  # block -> its smallest state, ordered by that state
+    for q, bi in enumerate(block_of):
+        first.setdefault(bi, q)
+    number = {bi: i for i, bi in enumerate(first)}
+    rows = []
+    for q in first.values():
+        row: list[tuple[int, int, int]] = []
+        for lo, hi, t in dfa.rows[q]:
+            _extend(row, lo, hi, number[block_of[t]])
+        rows.append(tuple(row))
+    accepting = frozenset(number[block_of[q]] for q in dfa.accepting)
+    return Dfa(number[block_of[dfa.start]], accepting, tuple(rows))
 
 
 def _product(a: Dfa, b: Dfa, keep) -> Dfa:
+    """Reachable product of two DFAs, accepting where keep(in a, in b); not minimal."""
     ids: dict[tuple[int, int], int] = {(a.start, b.start): 0}
     order = [(a.start, b.start)]
     rows: list[tuple[tuple[int, int, int], ...]] = []
@@ -812,15 +808,11 @@ def _product(a: Dfa, b: Dfa, keep) -> Dfa:
             if pair not in ids:
                 ids[pair] = len(order)
                 order.append(pair)
-            t = ids[pair]
-            if row and row[-1][2] == t and row[-1][1] + 1 == lo:
-                row[-1] = (row[-1][0], hi, t)
-            else:
-                row.append((lo, hi, t))
+            _extend(row, lo, hi, ids[pair])
             lo = hi + 1
         rows.append(tuple(row))
         i += 1
-    return _minimize(Dfa(0, frozenset(accepting), tuple(rows)))
+    return Dfa(0, frozenset(accepting), tuple(rows))
 
 
 def _flip(dfa: Dfa) -> Dfa:
@@ -841,75 +833,77 @@ def compile_pattern(e: PatternExpr) -> Dfa:
         return hit
     if isinstance(e, PRegex):
         ast = _parse_regex(e.source)
-        dfa = _determinize(_build_nfa(("cat", (_ANY_STAR, ast, _ANY_STAR))))
+        dfa = _minimize(_determinize(_build_nfa(("cat", (_ANY_STAR, ast, _ANY_STAR)))))
     elif isinstance(e, PKey):
         parts = tuple(("class", ((ord(c), ord(c)),)) for c in e.literal)
         ast = ("cat", parts) if parts else ("eps",)
-        dfa = _determinize(_build_nfa(ast))
-    elif isinstance(e, PMinLen):
-        dfa = _determinize(_build_nfa(("rep", ("class", _FULL), e.bound, None)))
-    elif isinstance(e, PMaxLen):
-        dfa = _determinize(_build_nfa(("rep", ("class", _FULL), 0, e.bound)))
+        dfa = _minimize(_determinize(_build_nfa(ast)))
+    elif isinstance(e, (PMinLen, PMaxLen)):
+        # state i counts i characters read; the last state absorbs the rest
+        last = e.bound + isinstance(e, PMaxLen)
+        rows = tuple(((0, MAX_CP, min(i + 1, last)),) for i in range(last + 1))
+        accepting = (last,) if isinstance(e, PMinLen) else range(last)
+        dfa = Dfa(0, frozenset(accepting), rows)
     elif isinstance(e, PNot):
         dfa = _flip(compile_pattern(e.item))
-    elif isinstance(e, PAll):
+    elif isinstance(e, (PAll, PAny)):
+        keep = and_ if isinstance(e, PAll) else or_
         dfa = compile_pattern(e.items[0])
         for it in e.items[1:]:
-            dfa = _product(dfa, compile_pattern(it), lambda x, y: x and y)
-    elif isinstance(e, PAny):
-        dfa = compile_pattern(e.items[0])
-        for it in e.items[1:]:
-            dfa = _product(dfa, compile_pattern(it), lambda x, y: x or y)
+            # minimizing each step keeps the next product small
+            dfa = _minimize(_product(dfa, compile_pattern(it), keep))
     else:
         raise AssertionError(f"unknown pattern expression {e!r}")
     _DFA_CACHE[e] = dfa
     return dfa
 
 
-def _dfa_is_empty(dfa: Dfa) -> bool:
-    return not dfa.accepting
-
-
 def p_matches(e: PatternExpr, text: str) -> bool:
     return compile_pattern(e).accepts(text)
 
 
-@lru_cache(maxsize=None)
 def p_is_empty(e: PatternExpr) -> bool:
-    return _dfa_is_empty(compile_pattern(e))
+    keys = _key_set(e)
+    if keys is not None:
+        return keys == _NO_NAMES
+    return not compile_pattern(e).accepting
 
 
-@lru_cache(maxsize=None)
+# The two relations are the most frequent calls of normalization, so each
+# decides key sets inline rather than through a shared helper.
 def p_subset(a: PatternExpr, b: PatternExpr) -> bool:
-    if a == b:
-        return True
-    ka, kb = key_literal(a), key_literal(b)
+    ka, kb = _key_set(a), _key_set(b)
     if ka is not None and kb is not None:
-        return ka == kb
-    xb = excluded_keys(b)
-    if ka is not None and xb is not None:
-        return ka not in xb
-    if b == TOP:
+        (na, ca), (nb, cb) = ka, kb
+        if ca:
+            return cb and nb <= na
+        return na.isdisjoint(nb) if cb else na <= nb
+    if a == b or ka == _NO_NAMES or kb == _ALL_NAMES:
         return True
-    xa = excluded_keys(a)
-    if xa is not None and xb is not None:
-        return xb <= xa
-    return _dfa_is_empty(_product(compile_pattern(a), compile_pattern(b), lambda x, y: x and not y))
+    if ka == _ALL_NAMES:
+        return p_is_empty(p_not(b))
+    return _product_is_empty(a, b, negate_b=True)
 
 
-@lru_cache(maxsize=None)
 def p_disjoint(a: PatternExpr, b: PatternExpr) -> bool:
-    ka, kb = key_literal(a), key_literal(b)
+    ka, kb = _key_set(a), _key_set(b)
     if ka is not None and kb is not None:
-        return ka != kb
-    xa, xb = excluded_keys(a), excluded_keys(b)
-    if ka is not None and xb is not None:
-        return ka in xb
-    if kb is not None and xa is not None:
-        return kb in xa
-    if xa is not None and xb is not None:
-        return False  # two cofinite sets always intersect
-    return _dfa_is_empty(_product(compile_pattern(a), compile_pattern(b), lambda x, y: x and y))
+        (na, ca), (nb, cb) = ka, kb
+        if ca:
+            return not cb and nb <= na
+        return na <= nb if cb else na.isdisjoint(nb)
+    if _NO_NAMES in (ka, kb):
+        return True
+    if _ALL_NAMES in (ka, kb):
+        return p_is_empty(b if ka == _ALL_NAMES else a)
+    return _product_is_empty(a, b, negate_b=False)
+
+
+def _product_is_empty(a: PatternExpr, b: PatternExpr, negate_b: bool) -> bool:
+    """Whether no string is in a and in b (in a and not in b when negate_b).
+    Minimizing never changes emptiness, so the raw product answers it."""
+    keep = lambda x, y: x and y != negate_b
+    return not _product(compile_pattern(a), compile_pattern(b), keep).accepting
 
 
 def p_equiv(a: PatternExpr, b: PatternExpr) -> bool:

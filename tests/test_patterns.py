@@ -9,6 +9,7 @@ bounded enumeration plus verified counterexamples.
 """
 
 import re
+import time
 from itertools import combinations, product
 
 import pytest
@@ -58,6 +59,25 @@ def test_key_and_length_primitives():
     assert P.p_matches(P.max_len(1), "") and not P.p_matches(P.max_len(1), "ab")
 
 
+def test_length_primitives_equal_thompson_construction():
+    for n in range(6):
+        for e, ast in [
+            (P.PMinLen(n), ("rep", ("class", P._FULL), n, None)),
+            (P.PMaxLen(n), ("rep", ("class", P._FULL), 0, n)),
+        ]:
+            assert P.compile_pattern(e) == P._minimize(P._determinize(P._build_nfa(ast))), e
+
+
+def test_length_bound_at_the_limit_compiles_fast():
+    e = P.max_len(P.MAX_BOUND)
+    P._DFA_CACHE.pop(e, None)
+    start = time.monotonic()
+    dfa = P.compile_pattern(e)
+    assert time.monotonic() - start < 1.0
+    assert len(dfa.rows) == P.MAX_BOUND + 2
+    assert P.p_matches(e, "x" * P.MAX_BOUND) and not P.p_matches(e, "x" * (P.MAX_BOUND + 1))
+
+
 def test_boolean_operators_pointwise():
     exprs = [P.regex(s) for s in SOURCES[:8]] + [P.key("ab"), P.min_len(2), P.max_len(3)]
     for e1, e2 in combinations(exprs, 2):
@@ -102,10 +122,22 @@ def test_emptiness_decision():
     assert not P.p_is_empty(P.p_diff(P.regex("^a"), P.regex("^ab$")))
     assert P.p_is_empty(P.BOTTOM)
     assert not P.p_is_empty(P.TOP)
+    assert P.p_is_empty(P.p_and(P.key("a"), P.p_not(P.p_or(P.key("a"), P.key("b")))))
+    assert not P.p_is_empty(P.p_and(P.key("a"), P.p_not(P.key("b"))))
+    assert not P.p_is_empty(P.p_and(P.p_not(P.key("a")), P.p_not(P.key("b"))))
+    assert P.p_is_empty(P.p_not(P.p_or(P.TOP, P.key("a"))))
+    assert not P.p_is_empty(P.p_or(P.key("a"), P.key("b")))
 
 
 def test_subset_and_disjoint_against_enumeration():
-    exprs = [P.regex(s) for s in SOURCES[:8]] + [P.key("a"), P.key("ab")]
+    key_sets = [
+        P.TOP,
+        P.p_not(P.key("a")),
+        P.p_not(P.p_or(P.key("a"), P.key("ab"))),
+        P.p_and(P.p_not(P.key("a")), P.p_not(P.key("b"))),
+        P.p_or(P.key("a"), P.key("b")),
+    ]
+    exprs = [P.regex(s) for s in SOURCES[:8]] + [P.key("a"), P.key("ab")] + key_sets
     for e1, e2 in product(exprs, exprs):
         sub = P.p_subset(e1, e2)
         if sub:
@@ -130,11 +162,9 @@ def test_p_equiv_examples():
     assert not P.p_equiv(P.regex("^a"), P.regex("a"))
 
 
-def test_key_literal_and_excluded_keys():
+def test_key_literal():
     assert P.key_literal(P.key("ab")) == "ab"
     assert P.key_literal(P.regex("^a")) is None
-    excl = P.excluded_keys(P.p_not(P.p_or(P.key("a"), P.key("b"))))
-    assert excl is not None and set(excl) == {"a", "b"}
 
 
 def test_regex_source_is_anchored_and_faithful():
@@ -146,6 +176,19 @@ def test_regex_source_is_anchored_and_faithful():
         rx = re.compile(out)
         for w in WORDS:
             assert bool(rx.search(w)) == P.p_matches(e, w), (src, out, w)
+
+
+def test_regex_source_of_compound_patterns_is_stable():
+    # serialize emits these sources, so the state numbering they follow is pinned
+    golden = [
+        (P.p_not(P.p_or(P.key("a"), P.key("b"))), "^(?:|[^ab][\\s\\S]*|[ab][\\s\\S][\\s\\S]*)$"),
+        (P.p_and(P.regex("^a"), P.max_len(3)), "^(?:a|a[\\s\\S]|a[\\s\\S][\\s\\S])$"),
+        (P.p_diff(P.regex("^[ab]+$"), P.key("ab")), "^(?:a|(?:b|aa)[ab]*|ab[ab][ab]*)$"),
+        (P.p_or(P.regex("^x\\d"), P.key("yz")), "^(?:x[0-9][\\s\\S]*|yz)$"),
+        (P.p_and(P.min_len(2), P.p_not(P.regex("b"))), "^(?:[^b][^b][^b]*)$"),
+    ]
+    for e, src in golden:
+        assert P.regex_source(e) == src, e
 
 
 def test_unsupported_regex_features_are_flagged():
