@@ -8,7 +8,7 @@ into anyOf, and `synth` writes deterministic benchmark pairs.
 
 Exit codes for single checks: 0 included (or equivalent / valid),
 1 not included, 2 input or unsupported-feature error, 3 budget
-exceeded.  Errors are single lines on stderr.
+exceeded, 4 internal error.  Errors are single lines on stderr.
 """
 
 from __future__ import annotations
@@ -160,6 +160,9 @@ def _batch_row(task: tuple) -> dict:
         return row
     except (JsonSubError, OSError, ValueError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+    except Exception as exc:
+        row["error"] = _internal_error(exc)
         return row
     row["verdict"] = result.verdict
     row.update(_stats_row(result.stats))
@@ -441,6 +444,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (JsonSubError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the checker itself, never a verdict
+        print(_internal_error(exc), file=sys.stderr)
+        return 4
+
+
+def _internal_error(exc: Exception) -> str:
+    return f"internal error: {type(exc).__name__}: {exc}"
 
 
 if __name__ == "__main__":

@@ -110,15 +110,32 @@ class STypeSet(Schema):
     names: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class SConst(Schema):
+class _ConstTerm(Schema):
+    """Equality for constant terms that tells a boolean from a number,
+    which Python equates (False == 0, with equal hashes)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and isinstance(self.value, bool) == isinstance(other.value, bool)
+            and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self), isinstance(self.value, bool), self.value))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class SConst(_ConstTerm):
     # payload is a boolean or an exact number; other constants are encoded
     # with type and pattern operators before terms are built
     value: object
 
 
-@dataclass(frozen=True, slots=True)
-class SNotConst(Schema):
+@dataclass(frozen=True, slots=True, eq=False)
+class SNotConst(_ConstTerm):
     value: object
 
 

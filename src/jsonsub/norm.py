@@ -7,18 +7,23 @@ cheap fast-fail pass over the remaining conjuncts runs first so that
 contradictions anywhere in an allOf are found without paying for full
 normalization of the terms before them.
 
-Reference sets are combined through a memo table on the environment.
-A combination that is currently being normalized is returned as a plain
-union; guardedness of recursion keeps that sound. A combination whose
-body normalizes to the empty disjunction is collapsed to the canonical
-contradictory set, which lets later unions refute instantly.
+Reference sets are combined through a memo table on the environment,
+which one routine fills. A combination that is currently being
+normalized is returned as a plain union; guardedness of recursion keeps
+that sound. A combination whose body normalizes to the empty disjunction
+is collapsed to the canonical contradictory set, which lets later unions
+refute instantly.
+
+A property pattern that cuts a fragment splits it in two, and every
+requirement of the fragment then picks the side whose field meets it;
+the same split serves property and required-field insertion.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import product as cartesian
 from typing import Iterable, Optional
@@ -65,7 +70,6 @@ from .model import (
     SNot,
     SNotConst,
     SNotMultipleOf,
-    SOneOf,
     SPattern,
     SPatternProps,
     SPatternReq,
@@ -166,10 +170,6 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
                 return out
         ctx.note_width(len(out.conjs))
         return out
-    if isinstance(s, SOneOf):
-        from .canon import expand_oneof
-
-        return all_cs(c, expand_oneof(s), ctx, fast)
     if isinstance(s, SAllOf):
         if fast:
             return fast_check(c, s.items, ctx)
@@ -207,15 +207,7 @@ def _conj_with_ref(c: Conj, ref: CRef, ctx: NormContext, fast: bool) -> Dnf:
     env = ctx.env
     memo = env.memo.get(ref)
     if memo is None and len(ref.members) == 1:
-        name = next(iter(ref.members))
-        env.memo[ref] = Env.IN_PROGRESS
-        try:
-            d = dnf_of(env.body(name), ctx)
-        except BaseException:
-            env.memo.pop(ref, None)
-            raise
-        env.memo[ref] = d
-        memo = d
+        memo = _memo_dnf(ref, env.body(next(iter(ref.members))), ctx)
     if isinstance(memo, Dnf):
         ctx.stats.memo_hits += 1
         if memo.is_false:
@@ -227,6 +219,21 @@ def _conj_with_ref(c: Conj, ref: CRef, ctx: NormContext, fast: bool) -> Dnf:
     # multi-member set not combined yet (or being combined): fold members,
     # which reuses the per-member memoized disjunctions
     return all_cs(c, s_all_of(SRefSingle(m) for m in ref.sorted_members()), ctx, fast)
+
+
+def _memo_dnf(ref: CRef, body: Schema, ctx: NormContext) -> Dnf:
+    """Normalize a reference set's body into the memo. The entry reads
+    IN_PROGRESS meanwhile and is dropped again if normalization fails."""
+    # all_ds rather than dnf_of: one frame per reference on the recursion
+    env = ctx.env
+    env.memo[ref] = Env.IN_PROGRESS
+    try:
+        d = all_ds(D_TRUE, body, ctx)
+    except BaseException:
+        env.memo.pop(ref, None)
+        raise
+    env.memo[ref] = d
+    return d
 
 
 def all_xx(x: CRef, y: CRef, ctx: NormContext) -> CRef:
@@ -248,18 +255,8 @@ def all_xx(x: CRef, y: CRef, ctx: NormContext) -> CRef:
         ctx.stats.memo_hits += 1
         return env.false_ref() if memo.is_false else u
     ctx.stats.crefs_created += 1
-    env.memo[u] = Env.IN_PROGRESS
-    try:
-        d = dnf_of(env.cref_body(u), ctx)
-    except BaseException:
-        env.memo.pop(u, None)
-        raise
-    env.memo[u] = d
+    d = _memo_dnf(u, env.cref_body(u), ctx)
     return env.false_ref() if d.is_false else u
-
-
-def is_false_ref(ref: CRef) -> bool:
-    return ref.has_clash
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +391,46 @@ def _with_not_const(c: Conj, value, ctx: NormContext) -> Dnf:
 # -- objects
 
 
+def _cut(frag: Fragment, pattern: P.PatternExpr) -> tuple[P.PatternExpr, P.PatternExpr]:
+    """The parts of a fragment inside and outside a pattern that cuts it
+    (keeping the contained pattern itself so key literals stay indexable)."""
+    inside = pattern if P.p_subset(pattern, frag.pattern) else P.p_and(frag.pattern, pattern)
+    return inside, P.p_diff(frag.pattern, pattern)
+
+
+def _req_sides(
+    reqs: tuple[CRef, ...], x: CRef, ctx: NormContext
+) -> list[tuple[tuple[CRef, ...], tuple[CRef, ...]]]:
+    """Every way the requirements of a cut fragment can pick a side, as
+    (inside, outside) pairs. Each requirement is met by one field, which
+    lies on one side; the inside ones are combined with x, and a choice
+    where one of them clashes is dropped."""
+    if not reqs:
+        return [((), ())]
+    m = len(reqs)
+    if m > MAX_REQ_SPLIT:
+        raise BudgetExceeded(
+            f"fragment split over {m} requirements exceeds the supported {MAX_REQ_SPLIT}",
+            ctx.stats,
+        )
+    options = []
+    for mask in range(1 << m):
+        ctx.tick()
+        reqs_in: list[CRef] = []
+        reqs_out: list[CRef] = []
+        for i, req in enumerate(reqs):
+            if mask >> i & 1:
+                w = all_xx(req, x, ctx)
+                if w.has_clash:
+                    break
+                reqs_in.append(w)
+            else:
+                reqs_out.append(req)
+        else:
+            options.append((sort_reqs(reqs_in), sort_reqs(reqs_out)))
+    return options
+
+
 def merge_frag_prop(
     frag: Fragment, pattern: P.PatternExpr, x: CRef, ctx: NormContext
 ) -> list[list[Fragment]]:
@@ -406,55 +443,22 @@ def merge_frag_prop(
         new_reqs = []
         for req in frag.reqs:
             w = all_xx(req, x, ctx)
-            if is_false_ref(w):
+            if w.has_clash:
                 return []
             new_reqs.append(w)
         return [[Fragment(frag.pattern, all_xx(frag.ref, x, ctx), sort_reqs(new_reqs))]]
-    # the pattern cuts the fragment in two; requirements must each pick a side
-    # (keep the contained pattern itself so key literals stay indexable)
-    if P.p_subset(pattern, frag.pattern):
-        inside = pattern
-    else:
-        inside = P.p_and(frag.pattern, pattern)
-    outside = P.p_diff(frag.pattern, pattern)
+    inside, outside = _cut(frag, pattern)
     ref_in = all_xx(frag.ref, x, ctx)
-    if not frag.reqs:
-        return [[Fragment(inside, ref_in, ()), Fragment(outside, frag.ref, ())]]
-    m = len(frag.reqs)
-    if m > MAX_REQ_SPLIT:
-        raise BudgetExceeded(
-            f"fragment split over {m} requirements exceeds the supported {MAX_REQ_SPLIT}",
-            ctx.stats,
-        )
-    options: list[list[Fragment]] = []
-    for mask in range(1 << m):
-        ctx.tick()
-        reqs_in: list[CRef] = []
-        reqs_out: list[CRef] = []
-        dead = False
-        for i, req in enumerate(frag.reqs):
-            if mask >> i & 1:
-                w = all_xx(req, x, ctx)
-                if is_false_ref(w):
-                    dead = True
-                    break
-                reqs_in.append(w)
-            else:
-                reqs_out.append(req)
-        if dead:
-            continue
-        options.append(
-            [
-                Fragment(inside, ref_in, sort_reqs(reqs_in)),
-                Fragment(outside, frag.ref, sort_reqs(reqs_out)),
-            ]
-        )
-    return options
+    return [
+        [Fragment(inside, ref_in, reqs_in), Fragment(outside, frag.ref, reqs_out)]
+        for reqs_in, reqs_out in _req_sides(frag.reqs, x, ctx)
+    ]
 
 
 def insert_preq(co: CObject, pattern: P.PatternExpr, y: CRef, ctx: NormContext) -> Dnf:
     """'Some field matching the pattern satisfies y': one disjunct per
-    fragment that can host the required field."""
+    fragment that can host the required field, and per side each of that
+    fragment's requirements takes when the pattern cuts it."""
     ctx.tick()
     if P.p_is_empty(pattern):
         return D_FALSE
@@ -463,24 +467,20 @@ def insert_preq(co: CObject, pattern: P.PatternExpr, y: CRef, ctx: NormContext) 
         frag = co.fragments[i]
         if P.p_disjoint(frag.pattern, pattern):
             continue
-        if P.p_subset(pattern, frag.pattern):
-            host = pattern
-        else:
-            host = P.p_and(frag.pattern, pattern)
-        if P.p_is_empty(host):
-            continue
         w = all_xx(frag.ref, y, ctx)
-        if is_false_ref(w):
+        if w.has_clash:
             continue
         if P.p_subset(frag.pattern, pattern):
-            new_frag = frag.with_reqs(frag.reqs + (w,))
-            out.append(co.replace({i: [new_frag]}))
-        else:
-            # split the fragment so the requirement names a definite block
-            outside = P.p_diff(frag.pattern, pattern)
-            inside_frag = Fragment(host, frag.ref, sort_reqs((w,)))
-            outside_frag = Fragment(outside, frag.ref, frag.reqs)
-            out.append(co.replace({i: [inside_frag, outside_frag]}))
+            out.append(co.replace({i: [frag.with_reqs(frag.reqs + (w,))]}))
+            continue
+        # split the fragment so the requirement names a definite block; both
+        # blocks keep frag.ref, so a requirement moving inside stays as it is
+        inside, outside = _cut(frag, pattern)
+        for reqs_in, reqs_out in _req_sides(frag.reqs, CREF_TRUE, ctx):
+            out.append(co.replace({i: [
+                Fragment(inside, frag.ref, sort_reqs((w,) + reqs_in)),
+                Fragment(outside, frag.ref, reqs_out),
+            ]}))
     ctx.note_width(len(out))
     return Dnf(tuple(out))
 
@@ -565,25 +565,6 @@ def _flat_map(d: Dnf, f) -> Dnf:
     return out
 
 
-def _array_with(
-    ca: CArray,
-    items: Optional[tuple[CRef, ...]] = None,
-    tail: Optional[CRef] = None,
-    contains: Optional[tuple[tuple[int, CRef], ...]] = None,
-    min_items: Optional[int] = None,
-    max_items: Optional[tuple] = None,  # wrapped to allow None payload
-    unique: Optional[tuple] = None,
-) -> CArray:
-    return CArray(
-        items=ca.items if items is None else items,
-        tail=ca.tail if tail is None else tail,
-        contains=ca.contains if contains is None else _sorted_contains(contains),
-        min_items=ca.min_items if min_items is None else min_items,
-        max_items=ca.max_items if max_items is None else max_items[0],
-        unique=ca.unique if unique is None else unique[0],
-    )
-
-
 def _sorted_contains(entries: Iterable[tuple[int, CRef]]) -> tuple[tuple[int, CRef], ...]:
     return tuple(sorted(set(entries), key=lambda e: (e[0], e[1].key())))
 
@@ -593,20 +574,20 @@ def _insert_array(ca: CArray, k: Schema, ctx: NormContext) -> Dnf:
         n = max(ca.min_items, k.bound)
         if ca.max_items is not None and n > ca.max_items:
             return D_FALSE
-        return Dnf((_array_with(ca, min_items=n),))
+        return Dnf((replace(ca, min_items=n),))
     if isinstance(k, SMaxItems):
         m = k.bound if ca.max_items is None else min(ca.max_items, k.bound)
         return _cap_array(ca, m)
     if isinstance(k, SUniqueItems):
         if ca.unique is False:
             return D_FALSE
-        return Dnf((_array_with(ca, unique=(True,)),))
+        return Dnf((replace(ca, unique=True),))
     if isinstance(k, SRepeatedItems):
         if ca.unique is True:
             return D_FALSE
         if ca.max_items is not None and ca.max_items < 2:
             return D_FALSE
-        return Dnf((_array_with(ca, unique=(False,)),))
+        return Dnf((replace(ca, unique=False),))
     if isinstance(k, SItemAt):
         return _insert_item_at(ca, k.index, _arg_ref(k.schema), ctx)
     if isinstance(k, SItemsFrom):
@@ -625,7 +606,7 @@ def _cap_array(ca: CArray, m: int) -> Dnf:
             return D_FALSE
     items = ca.items[:m]
     tail = ca.tail if m > len(items) else CREF_TRUE
-    return Dnf((CArray(items, tail, ca.contains, ca.min_items, m, ca.unique),))
+    return Dnf((replace(ca, items=items, tail=tail, max_items=m),))
 
 
 def _insert_item_at(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf:
@@ -634,19 +615,19 @@ def _insert_item_at(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf:
     n_a = len(ca.items)
     if index < n_a:
         w = all_xx(ca.items[index], x, ctx)
-        if is_false_ref(w):
+        if w.has_clash:
             # a value at this index is impossible, so the array stops short
             return _cap_array(ca, index)
         items = ca.items[:index] + (w,) + ca.items[index + 1 :]
-        return Dnf((_array_with(ca, items=items),))
+        return Dnf((replace(ca, items=items),))
     # extend the slot range; entries that land inside it are re-hosted
     w = all_xx(ca.tail, x, ctx)
-    if is_false_ref(w):
+    if w.has_clash:
         return _cap_array(ca, index)
     items = ca.items + (ca.tail,) * (index - n_a) + (w,)
     pending = [e for e in ca.contains if e[0] <= index]
-    base = CArray(items, ca.tail, _sorted_contains(e for e in ca.contains if e[0] > index),
-                  ca.min_items, ca.max_items, ca.unique)
+    rest = _sorted_contains(e for e in ca.contains if e[0] > index)
+    base = replace(ca, items=items, contains=rest)
     return _relift(Dnf((base,)), pending, ctx)
 
 
@@ -658,41 +639,36 @@ def _insert_items_from(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf
         items = list(ca.items)
         for i in range(index, n_a):
             w = all_xx(items[i], x, ctx)
-            if is_false_ref(w):
+            if w.has_clash:
                 return _flat_map(_cap_array(ca, i), lambda c: _insert_items_from(c, index, x, ctx))
             items[i] = w
         tail = all_xx(ca.tail, x, ctx)
-        if is_false_ref(tail):
-            capped = _cap_array(_array_with(ca, items=tuple(items)), n_a)
-            return capped
+        if tail.has_clash:
+            return _cap_array(replace(ca, items=tuple(items)), n_a)
         entries = []
         for idx, ref in ca.contains:
             w = all_xx(ref, x, ctx)
-            if is_false_ref(w):
+            if w.has_clash:
                 return D_FALSE
             entries.append((idx, w))
-        return Dnf(
-            (
-                CArray(tuple(items), tail, _sorted_contains(entries), ca.min_items,
-                       ca.max_items, ca.unique),
-            )
-        )
+        return Dnf((replace(ca, items=tuple(items), tail=tail,
+                            contains=_sorted_contains(entries)),))
     # index > n_a: materialize slots up to the index, then re-host entries
     items = ca.items + (ca.tail,) * (index - n_a)
     tail = all_xx(ca.tail, x, ctx)
-    if is_false_ref(tail):
-        return _cap_array(_array_with(ca, items=items), index)
+    if tail.has_clash:
+        return _cap_array(replace(ca, items=items), index)
     keep: list[tuple[int, CRef]] = []
     pending: list[tuple[int, CRef]] = []
     for idx, ref in ca.contains:
         if idx >= index:
             w = all_xx(ref, x, ctx)
-            if is_false_ref(w):
+            if w.has_clash:
                 return D_FALSE
             keep.append((idx, w))
         else:
             pending.append((idx, ref))
-    base = CArray(items, tail, _sorted_contains(keep), ca.min_items, ca.max_items, ca.unique)
+    base = replace(ca, items=items, tail=tail, contains=_sorted_contains(keep))
     return _relift(Dnf((base,)), pending, ctx)
 
 
@@ -703,22 +679,22 @@ def _insert_contains(ca: CArray, index: int, z: CRef, ctx: NormContext) -> Dnf:
     n_a = len(ca.items)
     if index >= n_a:
         w = all_xx(z, ca.tail, ctx)
-        if is_false_ref(w):
+        if w.has_clash:
             return D_FALSE
         # combine with the other obligations up front so the witness stage
         # can read grouped combinations from the memo
         for _, other in ca.contains:
             all_xx(w, other, ctx)
         entries = _sorted_contains(ca.contains + ((index, w),))
-        return Dnf((_array_with(ca, contains=entries),))
+        return Dnf((replace(ca, contains=entries),))
     # the obligation may be met by one of the fixed slots or past them
     out = D_FALSE
     for j in range(index, n_a):
         w = all_xx(ca.items[j], z, ctx)
-        if is_false_ref(w):
+        if w.has_clash:
             continue
         items = ca.items[:j] + (w,) + ca.items[j + 1 :]
-        hosted = _array_with(ca, items=items, min_items=max(ca.min_items, j + 1))
+        hosted = replace(ca, items=items, min_items=max(ca.min_items, j + 1))
         if hosted.max_items is None or hosted.min_items <= hosted.max_items:
             out = any_dd(out, Dnf((hosted,)))
     out = any_dd(out, _insert_contains(ca, n_a, z, ctx))
@@ -826,14 +802,7 @@ def prepare(d: Dnf, ctx: NormContext) -> None:
         memo = env.memo.get(ref)
         if memo is None or memo is Env.IN_PROGRESS:
             ctx.tick()
-            env.memo[ref] = Env.IN_PROGRESS
-            try:
-                body_d = dnf_of(env.cref_body(ref), ctx)
-            except BaseException:
-                env.memo.pop(ref, None)
-                raise
-            env.memo[ref] = body_d
-            memo = body_d
+            memo = _memo_dnf(ref, env.cref_body(ref), ctx)
         if isinstance(memo, Dnf):
             for c in memo.conjs:
                 for sub in refs_of_conj(c):

@@ -614,14 +614,25 @@ def _frag(nfa: _Nfa, ast) -> tuple[int, int]:
         return s, e
     if kind == "rep":
         _, sub, lo, hi = ast
-        parts = [sub] * lo
+        s = cur = nfa.state()
+        for _ in range(lo):
+            ps, pe = _frag(nfa, sub)
+            nfa.eps(cur, ps)
+            cur = pe
         if hi is None:
-            parts.append(("star", sub))
-        else:
-            parts.extend([("alt", (sub, ("eps",)))] * (hi - lo))
-        if not parts:
-            return _frag(nfa, ("eps",))
-        return _frag(nfa, ("cat", tuple(parts)))
+            ps, pe = _frag(nfa, ("star", sub))
+            nfa.eps(cur, ps)
+            return s, pe
+        # the optional copies nest, and each may skip straight to the end,
+        # so no epsilon closure spans the chain
+        e = nfa.state()
+        for _ in range(hi - lo):
+            nfa.eps(cur, e)
+            ps, pe = _frag(nfa, sub)
+            nfa.eps(cur, ps)
+            cur = pe
+        nfa.eps(cur, e)
+        return s, e
     raise AssertionError(f"unknown ast node {ast!r}")
 
 

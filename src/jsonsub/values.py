@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any
 
 TYPE_NAMES = ("null", "boolean", "number", "string", "array", "object")
 
@@ -165,15 +165,3 @@ def _frame(open_: str, close: str, indent: int | None, depth: int):
     lead = "\n" + " " * (indent * (depth + 1))
     tail = "\n" + " " * (indent * depth) + close
     return open_, tail, ",", lead
-
-
-def iter_strings(v: Any) -> Iterator[str]:
-    """All string leaves of a value, in document order."""
-    if isinstance(v, str):
-        yield v
-    elif isinstance(v, list):
-        for x in v:
-            yield from iter_strings(x)
-    elif isinstance(v, dict):
-        for x in v.values():
-            yield from iter_strings(x)

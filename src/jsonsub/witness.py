@@ -2,10 +2,11 @@
 
 Reference sets are solved in rounds: each round tries every unsolved set
 whose body disjunction is in the memo, and a set is solved once one of
-its disjuncts yields a value. When a round makes no progress the
-remaining sets are unsatisfiable. That conclusion is sound because every
-reference cycle passes through a structural operator, so a witness for a
-still-open set would have to be infinitely deep.
+its disjuncts yields a value. When a round neither solves a set nor
+meets a new one (lookups normalize sets lazily) the remaining sets are
+unsatisfiable. That conclusion is sound because every reference cycle
+passes through a structural operator, so a witness for a still-open set
+would have to be infinitely deep.
 
 Distinctness (for arrays that must not repeat elements) is handled by a
 diversification pass that asks a reference set for several values, never
@@ -13,10 +14,12 @@ by fabricating one. When the pass cannot produce enough values even
 though everything it depends on is solved, the run fails loudly instead
 of guessing a verdict.
 
-Number search is exact. With a factor, candidates walk multiples inward
-from an interval edge; otherwise integers are tried first, then decimal
-refinements. Exhausting the candidate budget marks the disjunct failed
-for this run and bumps a diagnostic counter.
+Number search is exact. One walk visits the multiples of a step inward
+from the tight interval edge, or 0, +k, -k, ... when there is none; the
+step is the factor when there is one, and otherwise 1, then finer
+decimal steps. Exhausting the candidate budget marks the disjunct failed
+for this run and bumps a diagnostic counter. Scalars answer from the
+same value streams as diversification.
 """
 
 from __future__ import annotations
@@ -39,16 +42,14 @@ from .canon import (
 )
 from .errors import UnsupportedFeature
 from .model import CRef, Env
-from .norm import NormContext, all_xx, dnf_of, is_false_ref, refs_of_conj
-from .values import canonical_key
+from .norm import NormContext, all_xx, dnf_of, refs_of_conj
+from .values import TYPE_NAMES, canonical_key
 
 UNSAT = object()
 _OPEN = object()
 
 MAX_NUMBER_CANDIDATES = 4096
 MAX_GROUP_SEARCH = 5
-
-_TYPE_PREFERENCE = ("null", "boolean", "number", "string", "array", "object")
 
 
 def generate(root: Dnf, ctx: NormContext):
@@ -67,7 +68,7 @@ class _Generator:
 
     def lookup(self, ref: CRef):
         """Value, UNSAT, or _OPEN (not solved yet this round)."""
-        if is_false_ref(ref):
+        if ref.has_clash:
             return UNSAT
         if ref in self.solved:
             return self.solved[ref]
@@ -86,7 +87,7 @@ class _Generator:
 
         def note(refs: Iterable[CRef]) -> None:
             for r in refs:
-                if r not in self.solved and not is_false_ref(r):
+                if r not in self.solved and not r.has_clash:
                     universe.add(r)
 
         for c in root.conjs:
@@ -110,8 +111,10 @@ class _Generator:
                 if got is not UNSAT:
                     self.solved[ref] = got
                     progress = True
+            # lookups normalize sets lazily; a set they added is still untried
+            known = len(universe)
             note(self.env.memo)
-            if not progress:
+            if not progress and len(universe) == known:
                 return UNSAT
 
     def try_dnf(self, d: Dnf):
@@ -125,31 +128,14 @@ class _Generator:
 
     def try_conj(self, c: Conj):
         self.ctx.tick()
-        if isinstance(c, CTypeSet):
-            for name in _TYPE_PREFERENCE:
-                if name in c.types:
-                    return next(_plain_values(name))
-            return UNSAT
-        if isinstance(c, CNull):
-            return None
-        if isinstance(c, CBoolean):
-            return False if c.value is None else c.value
+        got = self.conj_values(c, 1)
+        if got is _OPEN:
+            return _OPEN
+        if got:
+            return got[0]
         if isinstance(c, CNumber):
-            got = gen_number(c)
-            if got is None:
-                self.ctx.stats.gen_budget_hits += 1
-                return UNSAT
-            return got
-        if isinstance(c, CString):
-            if c.pattern is None:
-                return ""
-            got = P.p_example(c.pattern)
-            return UNSAT if got is None else got
-        if isinstance(c, CArray):
-            return self.try_array(c)
-        if isinstance(c, CObject):
-            return self.try_object(c)
-        raise AssertionError(f"unknown conjunction {c!r}")
+            self.ctx.stats.gen_budget_hits += 1
+        return UNSAT
 
     # -- arrays
 
@@ -176,7 +162,7 @@ class _Generator:
             combined: Optional[CRef] = None
             for _, ref in group:
                 combined = ref if combined is None else all_xx(combined, ref, self.ctx)
-            if is_false_ref(combined):
+            if combined.has_clash:
                 return UNSAT
             pos = max(next_free, max(i for i, _ in group))
             placed.append((pos, combined))
@@ -252,7 +238,7 @@ class _Generator:
                 combined: CRef = frag.ref
                 for ref in group:
                     combined = all_xx(combined, ref, self.ctx)
-                if is_false_ref(combined):
+                if combined.has_clash:
                     return UNSAT
                 got = self.lookup(combined)
                 if got is UNSAT:
@@ -275,7 +261,7 @@ class _Generator:
         for fi, frag in enumerate(co.fragments):
             if needed == 0:
                 break
-            if is_false_ref(frag.ref):
+            if frag.ref.has_clash:
                 continue
             filler = self.lookup(frag.ref)
             if filler is _OPEN:
@@ -346,7 +332,7 @@ class _Generator:
         """Up to want values of one conjunction (list, possibly short), or
         _OPEN when blocked on unsolved references."""
         if isinstance(c, CTypeSet):
-            streams = [_plain_values(t) for t in _TYPE_PREFERENCE if t in c.types]
+            streams = [_plain_values(t) for t in TYPE_NAMES if t in c.types]
             merged = itertools.chain.from_iterable(
                 itertools.islice(s, want) for s in streams
             )
@@ -409,7 +395,7 @@ class _Generator:
                 break
             grown = None
             for frag in co.fragments:
-                if is_false_ref(frag.ref):
+                if frag.ref.has_clash:
                     continue
                 filler = self.lookup(frag.ref)
                 if filler is _OPEN:
@@ -507,9 +493,7 @@ def _plain_values(type_name: str) -> Iterator:
 
 
 def gen_number(c: CNumber) -> Optional[Fraction]:
-    for v in _number_candidates(c):
-        return v
-    return None
+    return next(_number_candidates(c), None)
 
 
 def _number_candidates(c: CNumber) -> Iterator[Fraction]:
@@ -522,21 +506,13 @@ def _number_candidates(c: CNumber) -> Iterator[Fraction]:
                 yield lo
             return
     if c.factor is not None:
-        yield from _multiple_candidates(c)
+        # when an excluded divisor divides the factor, every multiple is excluded
+        if all((c.factor / ex).denominator != 1 for ex in c.excluded):
+            yield from _walk(c, c.factor, MAX_NUMBER_CANDIDATES)
         return
     seen: set[Fraction] = set()
-    if lo is None and hi is None:
-        for scale in range(0, _scale_limit(c) + 1):
-            step = Fraction(1, 10**scale)
-            for k in range(64):
-                for cand in (k * step, -k * step):
-                    if cand not in seen:
-                        seen.add(cand)
-                        if _respects(cand, c):
-                            yield cand
-        return
     for scale in range(0, _scale_limit(c) + 1):
-        for cand in _sweep(c, Fraction(1, 10**scale)):
+        for cand in _walk(c, Fraction(1, 10**scale), 64):
             if cand not in seen:
                 seen.add(cand)
                 yield cand
@@ -598,54 +574,24 @@ def _respects(q: Fraction, c: CNumber) -> bool:
     return all((q / ex).denominator != 1 for ex in c.excluded)
 
 
-def _sweep(c: CNumber, step: Fraction) -> Iterator[Fraction]:
-    """Walk step multiples inward from the tight interval edge."""
+def _walk(c: CNumber, step: Fraction, limit: int) -> Iterator[Fraction]:
+    """The multiples of step among limit grid points that respect c,
+    walked inward from the tight interval edge, or 0, +k, -k, ... when c
+    has no bounds."""
     if c.lo is not None:
-        k = -(-c.lo.numerator * step.denominator // (c.lo.denominator * step.numerator))
-        start = k * step
-        if start == c.lo and c.lo_strict:
-            start += step
-        direction = step
-    else:
-        k = c.hi.numerator * step.denominator // (c.hi.denominator * step.numerator)
-        start = k * step
-        if start == c.hi and c.hi_strict:
-            start -= step
-        direction = -step
-    candidate = start
-    for _ in range(64):
-        if not (_bound_ok_low(candidate, c) and _bound_ok_high(candidate, c)):
-            return
-        if _respects(candidate, c):
-            yield candidate
-        candidate += direction
-
-
-def _multiple_candidates(c: CNumber) -> Iterator[Fraction]:
-    m = c.factor
-    for ex in c.excluded:
-        if (m / ex).denominator == 1:
-            return  # every multiple of m is then a multiple of ex
-    if c.lo is not None:
-        k0 = -(-c.lo.numerator * m.denominator // (c.lo.denominator * m.numerator))
-        if k0 * m == c.lo and c.lo_strict:
+        k0 = -(-c.lo.numerator * step.denominator // (c.lo.denominator * step.numerator))
+        if k0 * step == c.lo and c.lo_strict:
             k0 += 1
-        ks: Iterable[int] = range(k0, k0 + MAX_NUMBER_CANDIDATES)
+        ks: Iterable[int] = range(k0, k0 + limit)
     elif c.hi is not None:
-        k0 = c.hi.numerator * m.denominator // (c.hi.denominator * m.numerator)
-        if k0 * m == c.hi and c.hi_strict:
+        k0 = c.hi.numerator * step.denominator // (c.hi.denominator * step.numerator)
+        if k0 * step == c.hi and c.hi_strict:
             k0 -= 1
-        ks = range(k0, k0 - MAX_NUMBER_CANDIDATES, -1)
+        ks = range(k0, k0 - limit, -1)
     else:
-        if _respects(Fraction(0), c):
-            yield Fraction(0)
-        for k in range(1, MAX_NUMBER_CANDIDATES):
-            for cand in (k * m, -k * m):
-                if _respects(cand, c):
-                    yield cand
-        return
+        ks = itertools.chain((0,), *((k, -k) for k in range(1, limit)))
     for k in ks:
-        cand = k * m
+        cand = k * step
         if not (_bound_ok_low(cand, c) and _bound_ok_high(cand, c)):
             return
         if _respects(cand, c):

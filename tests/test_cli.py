@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 from jsonsub.cli import main, one_to_any
-from jsonsub.engine import check_equivalence, satisfies_value
+from jsonsub.engine import check_equivalence, check_inclusion, satisfies_value
 from jsonsub.values import parse_json
 
 REPORT_SCHEMA = json.loads(
@@ -210,6 +210,41 @@ def test_batch_keep_going_records_error(tmp_path, capsys):
     assert report["summary"] == {"total": 2, "errors": 1}
     errs = [r for r in report["rows"] if r["error"]]
     assert len(errs) == 1 and errs[0]["verdict"] == "error"
+
+
+def raise_internal(*args, **kwargs):
+    raise AssertionError("injected fault")
+
+
+def test_check_internal_error_exit_code(pair_files, capsys, monkeypatch):
+    monkeypatch.setattr("jsonsub.cli.check_inclusion", raise_internal)
+    left, right = pair_files
+    assert main(["check", left, right]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: injected fault\n"
+
+
+def test_batch_keep_going_records_internal_error(tmp_path, capsys, monkeypatch):
+    manifest = make_manifest(tmp_path)
+    real = check_inclusion
+
+    def faulty(left, right, **kwargs):
+        if left == {"type": "number"}:
+            raise_internal()
+        return real(left, right, **kwargs)
+
+    monkeypatch.setattr("jsonsub.cli.check_inclusion", faulty)
+    assert main(["batch", str(manifest), "--keep-going", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.Draft6Validator(REPORT_SCHEMA).validate(report)
+    assert report["summary"]["errors"] == 1
+    verdicts = [(Path(r["left"]).name, r["verdict"], r["error"]) for r in report["rows"]]
+    assert verdicts == [
+        ("int.json", "included", None),
+        ("num.json", "error", "internal error: AssertionError: injected fault"),
+        ("str.json", "included", None),
+    ]
 
 
 def test_batch_out_file(tmp_path):

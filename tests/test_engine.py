@@ -1,8 +1,10 @@
 """Evaluator anchors, inclusion verdicts, the brute-force oracle, and errors."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from jsonsub.engine import (
@@ -18,7 +20,7 @@ from jsonsub.engine import (
 )
 from jsonsub.errors import BudgetExceeded, MalformedSchema, UniverseTooLarge
 from jsonsub.model import Env
-from jsonsub.values import parse_json
+from jsonsub.values import dump_json, parse_json
 
 
 def exact(node):
@@ -186,6 +188,63 @@ def test_guarded_self_reference_reflexive():
         },
     }
     assert check_inclusion(exact(node), exact(node)).included
+
+
+# ---------------------------------------------------------------------------
+# refuted inclusions that once answered included (or crashed); each pair
+# is checked through the engine and through jsonschema's Draft-06 validator
+
+REFUTED = {
+    # a required field may cut a fragment whose other requirements it meets
+    "cut fragment keeps requirements inside": (
+        '{"maxProperties":1}',
+        '{"anyOf":[{"patternProperties":{"^[ab]$":{"type":"string"}}},'
+        '{"properties":{"b":{"type":"string"}}}]}',
+    ),
+    "c1 seed 1982055645 pair 477": (
+        "true",
+        '{"anyOf":[{"minProperties":2},{"patternProperties":{"^[ab]$":{"not":{"pattern":"a"}}}},'
+        '{"properties":{"b":{"not":{"pattern":"b$"}}}}]}',
+    ),
+    "c1 seed 207 pair 4": (
+        '{"oneOf": [{"maxItems": 1}, {"patternProperties": {"^[ab]$": {"type": ["string", "null"]}}},'
+        ' {"patternProperties": {"^[ab]$": {"minLength": 1}}}]}',
+        '{"allOf": [{"items": {"allOf": [{"enum": [2, false, "a"]}, {"enum": [0]}]}},'
+        ' {"patternProperties": {"^[ab]$": {"anyOf": [{"maxLength": 0}, {"enum": [2.5]}]}}},'
+        ' {"properties": {"b": {"allOf": [{"multipleOf": 2}, {"type": ["array", "null"]}]}}}]}',
+    ),
+    # the witness fixpoint must try the sets its own lookups normalized
+    "c1 seed 1227442651 pair 527": (
+        '{"allOf":[{"minProperties":2},{"properties":{"a":{"const":true},"b":{"pattern":"a"}},'
+        '"required":["b"]},{"required":["a"]}]}',
+        '{"allOf":[{"anyOf":[{"properties":{"b":{"not":{"maxLength":0}},"a":{"anyOf":'
+        '[{"maxLength":1},{"type":["object","string"]}]}}},{"minItems":1}]},'
+        '{"properties":{"a":true,"b":{"type":["array","object"]}}}]}',
+    ),
+    # a boolean constant is not the number Python equates it with
+    "const false is not const 0": ('{"items":{"const":false}}', '{"items":{"const":0}}'),
+    "const true is not const 1": ('{"items":{"const":true}}', '{"items":{"const":1}}'),
+    "c1 seed 1810926946 pair 108": (
+        '{"type":"array"}',
+        '{"items":{"not":{"const":false}},"properties":{"b":{"not":{"const":0}}}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUTED))
+def test_refuted_pair_has_a_checked_witness(name):
+    left, right = REFUTED[name]
+    res = check_inclusion(parse_json(left), parse_json(right))
+    assert not res.included
+    assert satisfies_value(res.witness, parse_json(left))
+    assert not satisfies_value(res.witness, parse_json(right))
+    plain = json.loads(dump_json(res.witness), parse_float=Decimal)
+    assert draft6_valid(left, plain) and not draft6_valid(right, plain)
+
+
+def draft6_valid(schema_text: str, value) -> bool:
+    node = json.loads(schema_text, parse_float=Decimal)
+    return jsonschema.Draft6Validator(node).is_valid(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Term representation, signed references, environments, well-formedness."""
 
+from fractions import Fraction
+
 import pytest
 
 from jsonsub import patterns as P
@@ -12,7 +14,9 @@ from jsonsub.model import (
     RefName,
     SAllOf,
     SAnyOf,
+    SConst,
     SNot,
+    SNotConst,
     SPatternProps,
     SPatternReq,
     SRef,
@@ -134,3 +138,11 @@ def test_well_formed_accepts_guarded_cycles():
 def test_sref_equality_is_member_based():
     x = RefName("#/x", False)
     assert SRef(cref(x)) == SRefSingle(x)
+
+
+def test_const_terms_tell_booleans_from_numbers():
+    for cls in (SConst, SNotConst):
+        assert cls(False) != cls(Fraction(0)) and cls(True) != cls(Fraction(1))
+        assert len({cls(False), cls(Fraction(0)), cls(True), cls(Fraction(1))}) == 4
+        assert cls(Fraction(1)) == cls(1) and hash(cls(Fraction(1))) == hash(cls(1))
+    assert SConst(True) != SNotConst(True)

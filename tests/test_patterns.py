@@ -78,6 +78,22 @@ def test_length_bound_at_the_limit_compiles_fast():
     assert P.p_matches(e, "x" * P.MAX_BOUND) and not P.p_matches(e, "x" * (P.MAX_BOUND + 1))
 
 
+def test_bounded_repetition_compiles_fast():
+    e = P.regex("^a{0,4096}$")
+    P._DFA_CACHE.pop(e, None)
+    start = time.monotonic()
+    P.compile_pattern(e)
+    assert time.monotonic() - start < 1.0
+    assert P.p_matches(e, "a" * 4096) and not P.p_matches(e, "a" * 4097)
+
+
+def test_bounded_repetition_language():
+    assert P.p_equiv(P.regex("^a{1,3}$"), P.p_or(P.key("a"), P.key("aa"), P.key("aaa")))
+    two_or_three = P.p_or(P.regex("^(ab|c)(ab|c)$"), P.regex("^(ab|c)(ab|c)(ab|c)$"))
+    assert P.p_equiv(P.regex("^(ab|c){2,3}$"), two_or_three)
+    assert P.p_equiv(P.regex("^(a?){2,3}$"), P.p_and(P.regex("^a*$"), P.max_len(3)))
+
+
 def test_boolean_operators_pointwise():
     exprs = [P.regex(s) for s in SOURCES[:8]] + [P.key("ab"), P.min_len(2), P.max_len(3)]
     for e1, e2 in combinations(exprs, 2):
