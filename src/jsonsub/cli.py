@@ -8,7 +8,9 @@ into anyOf, and `synth` writes deterministic benchmark pairs.
 
 Exit codes for single checks: 0 included (or equivalent / valid),
 1 not included, 2 input or unsupported-feature error, 3 budget
-exceeded, 4 internal error.  Errors are single lines on stderr.
+exceeded, 4 internal error.  Errors are single lines on stderr.  A
+`batch` run without --keep-going exits with the code of its first
+failing row.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # batch
 
 
-def _batch_row(task: tuple) -> dict:
+def _batch_row(task: tuple) -> tuple[int, dict]:
+    """The report row of one manifest pair, with the exit code `check`
+    would give for it when it fails (0 otherwise)."""
     left, right, expected, max_steps, timeout = task
     row = {
         "left": left,
@@ -154,19 +158,15 @@ def _batch_row(task: tuple) -> dict:
             max_steps=max_steps,
             timeout=timeout,
         )
-    except BudgetExceeded as exc:
-        row.update(_stats_row(exc.stats))
-        row["error"] = f"BudgetExceeded: {exc}"
-        return row
-    except (JsonSubError, OSError, ValueError) as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
     except Exception as exc:
-        row["error"] = _internal_error(exc)
-        return row
+        code = _exit_code(exc)
+        if isinstance(exc, BudgetExceeded):
+            row.update(_stats_row(exc.stats))
+        row["error"] = _internal_error(exc) if code == 4 else f"{type(exc).__name__}: {exc}"
+        return code, row
     row["verdict"] = result.verdict
     row.update(_stats_row(result.stats))
-    return row
+    return 0, row
 
 
 def _load_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -234,16 +234,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
     ]
     if args.jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_batch_row, tasks))
+            results = list(pool.map(_batch_row, tasks))
     else:
-        rows = [_batch_row(t) for t in tasks]
+        results = [_batch_row(t) for t in tasks]
+    rows = [row for _, row in results]
 
-    errors = [r for r in rows if r["error"] is not None]
+    errors = [(code, row) for code, row in results if code]
     if errors and not args.keep_going:
-        first = errors[0]
+        code, first = errors[0]
         print(f"error: {first['left']} vs {first['right']}: {first['error']}",
               file=sys.stderr)
-        return 2
+        return code
 
     summary = {"total": len(rows), "errors": len(errors)}
     confusion = _confusion(rows)
@@ -438,16 +439,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (JsonSubError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        # a fault of the checker itself, never a verdict
-        print(_internal_error(exc), file=sys.stderr)
-        return 4
+        code = _exit_code(exc)
+        print(_internal_error(exc) if code == 4 else f"error: {exc}", file=sys.stderr)
+        return code
+
+
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, BudgetExceeded):
+        return 3
+    if isinstance(exc, (JsonSubError, OSError, ValueError)):
+        return 2
+    return 4  # a fault of the checker itself, never a verdict
 
 
 def _internal_error(exc: Exception) -> str:

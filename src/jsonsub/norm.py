@@ -495,9 +495,7 @@ def _insert_object(co: CObject, k: Schema, ctx: NormContext) -> Dnf:
         m = k.bound if co.max_props is None else min(co.max_props, k.bound)
         if m < co.min_props:
             return D_FALSE
-        # fragments are name-disjoint, so each fragment holding requirements
-        # needs at least one field of its own
-        if m < sum(1 for f in co.fragments if f.reqs):
+        if _short_of_fields(co.fragments, m):
             return D_FALSE
         return Dnf((CObject(co.fragments, co.min_props, m),))
     if isinstance(k, SPatternProps):
@@ -527,24 +525,18 @@ def _insert_object(co: CObject, k: Schema, ctx: NormContext) -> Dnf:
     raise AssertionError(f"no object insertion for {k!r}")
 
 
-def _total_reqs(co: CObject) -> int:
-    return sum(len(f.reqs) for f in co.fragments)
-
-
 def _object_guard(conjs: list[Conj]) -> Dnf:
-    """Drop rewritten objects whose requirement count exceeds capacity."""
-    out = []
-    for c in conjs:
-        if isinstance(c, CObject) and c.max_props is not None:
-            if _total_reqs(c) > c.max_props:
-                # distinct-field groupings could still fit; only prune what
-                # is impossible regardless of grouping (a requirement can
-                # host at most one distinct field per fragment block)
-                needed = sum(1 for f in c.fragments if f.reqs)
-                if needed > c.max_props:
-                    continue
-        out.append(c)
-    return Dnf(tuple(out))
+    """Drop rewritten objects whose requirements cannot fit the field budget."""
+    return Dnf(tuple(
+        c for c in conjs
+        if not (isinstance(c, CObject) and _short_of_fields(c.fragments, c.max_props))
+    ))
+
+
+def _short_of_fields(fragments: tuple[Fragment, ...], max_props: Optional[int]) -> bool:
+    # fragments are name-disjoint, so each fragment holding requirements
+    # needs at least one field of its own
+    return max_props is not None and max_props < sum(1 for f in fragments if f.reqs)
 
 
 def _arg_ref(s: Schema) -> CRef:

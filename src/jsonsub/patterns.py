@@ -8,6 +8,8 @@ cached per canonical expression. Relations between expressions built from
 literal keys alone (finite name sets and their complements) are decided
 by set algebra without touching automata; the others test the reachable
 product of the two automata for an accepting state, without minimizing it.
+Example extraction is exact too: it returns the first k members in
+shortest-then-lexicographic order, expanding at most k prefixes per state.
 
 Regexes follow ECMA-262 search semantics: an unanchored pattern matches
 anywhere in the string, and ^/$ are honored wherever they occur. The
@@ -928,38 +930,35 @@ def p_example(e: PatternExpr) -> Optional[str]:
 
 
 def p_examples(e: PatternExpr, k: int) -> list[str]:
-    """Up to k distinct members in shortest-then-lexicographic order."""
+    """The first k members (all of them if fewer) in shortest-then-
+    lexicographic order.
+
+    Prefixes leave the heap in that order, and the order survives appending
+    a suffix. So once k prefixes have reached a state, every member through
+    a later prefix to that state is beaten by k others, and the search drops
+    it: at most k prefixes per state are expanded.
+    """
     dfa = compile_pattern(e)
-    if not dfa.accepting:
-        return []
     live = _coreachable(dfa)
     out: list[str] = []
+    visits = [0] * len(dfa.rows)
     # heap entries: (length, text, state, sibling_hi). sibling_hi is the top
-    # of the interval the last character was drawn from, so the next sibling
-    # can be enqueued without re-reading the parent row.  Every character of
-    # one interval reaches the same state and therefore has identical
-    # completions, so at most k variants per interval are ever useful; the
-    # cap keeps dead prefixes from flooding the heap one code point at a
-    # time.
-    heap: list[tuple[int, str, int, int]] = [(0, "", dfa.start, -1)]
-    max_len_cap = len(dfa.rows) * (k + 2) + 4
-    pops = 0
-    while heap and len(out) < k and pops < 200000:
+    # of the interval the last character was drawn from; every character of
+    # one interval reaches the same state, so the next sibling is enqueued
+    # only when this one is expanded.
+    heap: list[tuple[int, str, int, int]] = [(0, "", dfa.start, -1)] if dfa.start in live else []
+    while heap and len(out) < k:
         length, text, q, sib_hi = heapq.heappop(heap)
-        pops += 1
+        if visits[q] == k:
+            continue
+        visits[q] += 1
         if text and ord(text[-1]) < sib_hi:
-            nxt = ord(text[-1]) + 1
-            heapq.heappush(heap, (length, text[:-1] + chr(nxt), q, sib_hi))
+            heapq.heappush(heap, (length, text[:-1] + chr(ord(text[-1]) + 1), q, sib_hi))
         if q in dfa.accepting:
             out.append(text)
-            if len(out) >= k:
-                break
-        if length >= max_len_cap:
-            continue
         for lo, hi, t in dfa.rows[q]:
             if t in live:
-                capped = min(hi, lo + k - 1)
-                heapq.heappush(heap, (length + 1, text + chr(lo), t, capped))
+                heapq.heappush(heap, (length + 1, text + chr(lo), t, hi))
     return out
 
 

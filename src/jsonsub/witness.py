@@ -8,6 +8,15 @@ unsatisfiable. That conclusion is sound because every reference cycle
 passes through a structural operator, so a witness for a still-open set
 would have to be infinitely deep.
 
+Requirements that must share a field or an array element are grouped by
+one complete search: it tries every partition of the requirements into at
+most as many blocks as the input has room for (names the fragment's
+pattern admits, the maxProperties budget left, maxItems past the fixed
+slots), finest first, cuts blocks whose references clash as they form and
+ticks the step budget at every node. A blow-up therefore ends in
+BudgetExceeded, never in a guessed verdict, and field names come from the
+exact example search of the pattern layer.
+
 Distinctness (for arrays that must not repeat elements) is handled by a
 diversification pass that asks a reference set for several values, never
 by fabricating one. When the pass cannot produce enough values even
@@ -41,15 +50,14 @@ from .canon import (
     Dnf,
 )
 from .errors import UnsupportedFeature
-from .model import CRef, Env
-from .norm import NormContext, all_xx, dnf_of, refs_of_conj
+from .model import CREF_TRUE, CRef
+from .norm import NormContext, _memo_dnf, all_xx, refs_of_conj
 from .values import TYPE_NAMES, canonical_key
 
 UNSAT = object()
 _OPEN = object()
 
 MAX_NUMBER_CANDIDATES = 4096
-MAX_GROUP_SEARCH = 5
 
 
 def generate(root: Dnf, ctx: NormContext):
@@ -73,9 +81,8 @@ class _Generator:
         if ref in self.solved:
             return self.solved[ref]
         memo = self.env.memo.get(ref)
-        if memo is None or memo is Env.IN_PROGRESS:
-            memo = dnf_of(self.env.cref_body(ref), self.ctx)
-            self.env.memo[ref] = memo
+        if not isinstance(memo, Dnf):
+            memo = _memo_dnf(ref, self.env.cref_body(ref), self.ctx)
         if memo.is_false:
             return UNSAT
         return _OPEN
@@ -137,11 +144,55 @@ class _Generator:
             self.ctx.stats.gen_budget_hits += 1
         return UNSAT
 
+    # -- grouping search
+
+    def groupings(
+        self, base: CRef, reqs: tuple[tuple[int, CRef], ...], room: int
+    ) -> Iterator[list[tuple[int, CRef]]]:
+        """Partitions of the requirements into at most room blocks, finest
+        first. A block is (its largest position, base combined with its
+        refs); a block whose refs clash is cut as it forms."""
+        if not reqs:
+            yield []
+        for target in range(min(len(reqs), room), 0, -1):
+            yield from self.place(base, reqs, [], len(reqs) - 1, target)
+
+    def place(self, base: CRef, reqs, blocks: list[tuple[int, CRef]], j: int, target: int):
+        """Completions of blocks to exactly target blocks by placing
+        reqs[j], reqs[j-1], ..., reqs[0]: a new block first, in front of
+        the others, then joining each block in turn. That fixes the order
+        within each block count."""
+        # a method, not a nested closure: a closure that calls itself is a
+        # reference cycle that would keep the check's environment alive
+        self.ctx.tick()
+        if j < 0:
+            yield list(blocks)
+            return
+        pos, ref = reqs[j]
+        if len(blocks) < target:
+            combined = all_xx(base, ref, self.ctx)
+            if not combined.has_clash:
+                blocks.insert(0, (pos, combined))
+                yield from self.place(base, reqs, blocks, j - 1, target)
+                del blocks[0]
+        if len(blocks) + j < target:
+            return  # the rest could no longer open enough blocks
+        for i, (at, held) in enumerate(blocks):
+            combined = all_xx(held, ref, self.ctx)
+            if not combined.has_clash:
+                blocks[i] = (max(at, pos), combined)
+                yield from self.place(base, reqs, blocks, j - 1, target)
+                blocks[i] = (at, held)
+
     # -- arrays
 
     def try_array(self, ca: CArray):
-        for groups in _groupings(list(ca.contains)):
-            got = self.place_groups(ca, groups)
+        # every block takes its own position past the fixed slots
+        room = len(ca.contains)
+        if ca.max_items is not None:
+            room = min(room, ca.max_items - len(ca.items))
+        for blocks in self.groupings(CREF_TRUE, ca.contains, room):
+            got = self.place_blocks(ca, blocks)
             if got is _OPEN:
                 return _OPEN
             if got is UNSAT:
@@ -153,18 +204,13 @@ class _Generator:
             return got
         return UNSAT
 
-    def place_groups(self, ca: CArray, groups: list[list[tuple[int, CRef]]]):
+    def place_blocks(self, ca: CArray, blocks: list[tuple[int, CRef]]):
         """One array for this partition of the containment obligations, each
         block landing in a single element past the fixed slots."""
         next_free = len(ca.items)
         placed: list[tuple[int, CRef]] = []
-        for group in sorted(groups, key=lambda g: max(i for i, _ in g)):
-            combined: Optional[CRef] = None
-            for _, ref in group:
-                combined = ref if combined is None else all_xx(combined, ref, self.ctx)
-            if combined.has_clash:
-                return UNSAT
-            pos = max(next_free, max(i for i, _ in group))
+        for at, combined in sorted(blocks, key=lambda b: b[0]):
+            pos = max(next_free, at)
             placed.append((pos, combined))
             next_free = pos + 1
         length = max(ca.min_items, placed[-1][0] + 1 if placed else 0)
@@ -216,49 +262,50 @@ class _Generator:
     # -- objects
 
     def try_object(self, co: CObject):
-        per_frag = [list(_groupings(list(frag.reqs))) for frag in co.fragments]
-        for combo in _plan_product(per_frag, co.max_props):
-            got = self.fill_object(co, combo)
+        names = [P.p_examples(f.pattern, len(f.reqs)) if f.reqs else [] for f in co.fragments]
+        for plan in self.object_plans(co, names, 0, 0):
+            got = self.fill_object(co, names, plan)
             if got is _OPEN:
                 return _OPEN
             if got is not UNSAT:
                 return got
         return UNSAT
 
-    def fill_object(self, co: CObject, groups_per_frag):
+    def object_plans(self, co: CObject, names: list[list[str]], i: int, used: int):
+        """Groupings of fragments i.. under the field budget left after used
+        fields; a block takes a name of its own, so the names the fragment's
+        pattern admits bound its blocks too."""
+        if i == len(co.fragments):
+            yield []
+            return
+        frag = co.fragments[i]
+        room = len(names[i])
+        if co.max_props is not None:
+            room = min(room, co.max_props - used)
+        for blocks in self.groupings(frag.ref, tuple((0, r) for r in frag.reqs), room):
+            for rest in self.object_plans(co, names, i + 1, used + len(blocks)):
+                yield [blocks] + rest
+
+    def fill_object(self, co: CObject, names: list[list[str]], plan):
         fields: dict[str, object] = {}
-        frag_names: list[list[str]] = []
-        for frag, groups in zip(co.fragments, groups_per_frag):
-            needed = len(groups)
-            names = P.p_examples(frag.pattern, needed) if needed else []
-            if len(names) < needed:
-                return UNSAT
-            frag_names.append(names)
-            for name, group in zip(names, groups):
-                combined: CRef = frag.ref
-                for ref in group:
-                    combined = all_xx(combined, ref, self.ctx)
-                if combined.has_clash:
-                    return UNSAT
-                got = self.lookup(combined)
-                if got is UNSAT:
-                    return UNSAT
-                if got is _OPEN:
-                    return _OPEN
+        for frag_names, blocks in zip(names, plan):
+            for name, (_, ref) in zip(frag_names, blocks):
+                got = self.lookup(ref)
+                if got is UNSAT or got is _OPEN:
+                    return got
                 fields[name] = got
-        if co.max_props is not None and len(fields) > co.max_props:
-            return UNSAT
         if co.min_props > len(fields):
-            got = self.pad_object(co, fields, frag_names)
+            got = self.pad_object(co, fields, [len(blocks) for blocks in plan])
             if got is not True:
                 return got
         return fields
 
-    def pad_object(self, co: CObject, fields: dict, frag_names: list[list[str]]):
-        """Grow fields to min_props with members of witnessable fragments.
-        True on success, UNSAT or _OPEN otherwise."""
+    def pad_object(self, co: CObject, fields: dict, taken: list[int]):
+        """Grow fields to min_props with members of witnessable fragments,
+        past the taken names of each. True on success, UNSAT or _OPEN
+        otherwise."""
         needed = co.min_props - len(fields)
-        for fi, frag in enumerate(co.fragments):
+        for frag, have in zip(co.fragments, taken):
             if needed == 0:
                 break
             if frag.ref.has_clash:
@@ -268,7 +315,6 @@ class _Generator:
                 return _OPEN
             if filler is UNSAT:
                 continue
-            have = len(frag_names[fi])
             names = P.p_examples(frag.pattern, have + needed)
             for name in names[have:]:
                 if name in fields:
@@ -414,58 +460,6 @@ class _Generator:
             out.append(cur)
             extra += 1
         return out
-
-
-# ---------------------------------------------------------------------------
-# Grouping search
-
-
-def _groupings(items: list):
-    """Partitions of a requirement list, finest first. Oversized lists fall
-    back to just the finest and coarsest partitions."""
-    if not items:
-        yield []
-        return
-    if len(items) > MAX_GROUP_SEARCH:
-        yield [[r] for r in items]
-        yield [list(items)]
-        return
-    parts = list(_raw_partitions(items))
-    parts.sort(key=len, reverse=True)
-    yield from parts
-
-
-def _raw_partitions(items: list):
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _raw_partitions(rest):
-        yield [[head]] + [list(b) for b in part]
-        for i in range(len(part)):
-            copied = [list(b) for b in part]
-            copied[i].append(head)
-            yield copied
-
-
-def _plan_product(per_frag: list[list], max_props: Optional[int]):
-    """Joint grouping choices across fragments, skipping combinations whose
-    field demand already overshoots the capacity."""
-
-    def rec(i: int, acc: list):
-        if i == len(per_frag):
-            yield list(acc)
-            return
-        for choice in per_frag[i]:
-            if max_props is not None:
-                demand = sum(len(g) for g in acc) + len(choice)
-                if demand > max_props:
-                    continue
-            acc.append(choice)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,28 @@ def test_batch_keep_going_records_internal_error(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_batch_stops_with_the_budget_exit_code(tmp_path, capsys):
+    manifest = make_manifest(tmp_path)
+    assert main(["batch", str(manifest), "--steps", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "int.json" in err and "BudgetExceeded" in err
+
+
+def test_batch_stops_with_the_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    manifest = make_manifest(tmp_path)
+    real = check_inclusion
+
+    def faulty(left, right, **kwargs):
+        if left == {"type": "number"}:
+            raise_internal()
+        return real(left, right, **kwargs)
+
+    monkeypatch.setattr("jsonsub.cli.check_inclusion", faulty)
+    assert main(["batch", str(manifest)]) == 4
+    err = capsys.readouterr().err
+    assert "num.json" in err and "internal error: AssertionError: injected fault" in err
+
+
 def test_batch_out_file(tmp_path):
     manifest = make_manifest(tmp_path)
     out = tmp_path / "report.json"

@@ -1,6 +1,7 @@
 """Evaluator anchors, inclusion verdicts, the brute-force oracle, and errors."""
 
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -194,6 +195,15 @@ def test_guarded_self_reference_reflexive():
 # refuted inclusions that once answered included (or crashed); each pair
 # is checked through the engine and through jsonschema's Draft-06 validator
 
+SIX = [
+    {"type": "number", "minimum": 0},
+    {"type": "number", "maximum": 10},
+    {"type": "number", "multipleOf": 1},
+    {"type": "string", "minLength": 1},
+    {"type": "string", "maxLength": 3},
+    {"type": "string", "pattern": "x"},
+]
+
 REFUTED = {
     # a required field may cut a fragment whose other requirements it meets
     "cut fragment keeps requirements inside": (
@@ -228,6 +238,30 @@ REFUTED = {
         '{"type":"array"}',
         '{"items":{"not":{"const":false}},"properties":{"b":{"not":{"const":0}}}}',
     ),
+    # six requirements that two fields, or two elements, can only meet when grouped
+    "six requirements over two names": (
+        json.dumps({
+            "type": "object",
+            "patternProperties": {"^[ab]$": {}},
+            "additionalProperties": False,
+            "allOf": [{"not": {"patternProperties": {"^[ab]$": {"not": y}}}} for y in SIX],
+        }),
+        "false",
+    ),
+    "six containment requirements in two elements": (
+        json.dumps({"type": "array", "maxItems": 2, "allOf": [{"contains": y} for y in SIX]}),
+        "false",
+    ),
+    "six requirements in two properties": (
+        json.dumps({
+            "type": "object",
+            "maxProperties": 2,
+            "allOf": [{"not": {"properties": {}, "additionalProperties": {"not": y}}} for y in SIX],
+        }),
+        "false",
+    ),
+    # the shortest member lies past every shorter dead prefix
+    "long forced prefix": ('{"type":"string","pattern":"a{20}"}', "false"),
 }
 
 
@@ -322,6 +356,79 @@ def test_derived_universe_carries_probes():
     assert Fraction(1) in nums and Fraction(6) in nums
     assert any(s.startswith("ab") for s in params.strings)
     assert "" in params.strings
+
+
+NUMBER_REQUIREMENTS = SIX[:3] + [{"type": "number", "minimum": 5}, {"multipleOf": 2}]
+STRING_REQUIREMENTS = SIX[3:] + [{"pattern": "^a"}, {"type": "string", "maxLength": 2}]
+ODD_REQUIREMENTS = [{"type": "boolean"}, {"type": "number", "minimum": 20}, {"enum": [1, "x"]}]
+
+
+def requirement_heavy_pair(rng: random.Random) -> tuple[dict, object]:
+    """Six or more requirements that two names, two elements or two
+    properties must share, against false or a bound on every member.
+    Number and string requirements are jointly satisfiable among themselves;
+    an odd one may spoil that."""
+    ys = rng.sample(NUMBER_REQUIREMENTS, 3) + rng.sample(STRING_REQUIREMENTS, 3)
+    if rng.random() < 0.4:
+        ys.append(rng.choice(ODD_REQUIREMENTS))
+    rng.shuffle(ys)
+    z = rng.choice(NUMBER_REQUIREMENTS + STRING_REQUIREMENTS + ODD_REQUIREMENTS)
+    shape = rng.randrange(3)
+    if shape == 0:
+        left = {
+            "type": "object",
+            "patternProperties": {"^[ab]$": {}},
+            "additionalProperties": False,
+            "allOf": [{"not": {"patternProperties": {"^[ab]$": {"not": y}}}} for y in ys],
+        }
+        bound = {"patternProperties": {"^[ab]$": z}}
+    elif shape == 1:
+        left = {"type": "array", "maxItems": 2, "allOf": [{"contains": y} for y in ys]}
+        bound = {"items": z}
+    else:
+        left = {
+            "type": "object",
+            "maxProperties": 2,
+            "allOf": [{"not": {"additionalProperties": {"not": y}}} for y in ys],
+        }
+        bound = {"additionalProperties": z}
+    return left, rng.choice([False, bound])
+
+
+def test_requirement_heavy_pairs_agree_with_the_oracle():
+    rng = random.Random(11)
+    refuted = 0
+    for _ in range(40):
+        left, right = requirement_heavy_pair(rng)
+        ldoc = load_document(exact(left), "left")
+        rdoc = load_document(exact(right), "right")
+        env = Env()
+        env.bindings.update(ldoc.env.bindings)
+        env.bindings.update(rdoc.env.bindings)
+        # the universe must hold objects with both names the pattern admits
+        universe = derive_universe([ldoc.root, rdoc.root], env, extra_keys=("a", "b"))
+        oracle = oracle_included(ldoc.root, rdoc.root, env, universe)
+        res = check_inclusion(exact(left), exact(right))
+        assert res.included != oracle.counterexample_found, (left, right, oracle.value)
+        refuted += not res.included
+    assert 0 < refuted < 40
+
+
+def test_grouping_search_runs_out_of_budget_loudly():
+    # eight requirements for two names: the boolean needs a name of its own,
+    # and the search wades through splits of the strings before finding it
+    ys = [{"type": "boolean"}] + [{"type": "string", "pattern": c} for c in "cdefghij"]
+    left = exact({
+        "type": "object",
+        "patternProperties": {"^[ab]$": {}},
+        "additionalProperties": False,
+        "allOf": [{"not": {"patternProperties": {"^[ab]$": {"not": y}}}} for y in ys],
+    })
+    with pytest.raises(BudgetExceeded) as info:
+        check_inclusion(left, False, max_steps=2000)
+    assert info.value.stats.generation_invoked
+    res = check_inclusion(left, False)
+    assert not res.included and res.stats.steps > 2000
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ procedures (emptiness, subset, disjointness) are validated against
 bounded enumeration plus verified counterexamples.
 """
 
+import random
 import re
 import time
 from itertools import combinations, product
@@ -130,6 +131,44 @@ def test_p_examples_exhausts_small_languages():
     assert P.p_examples(P.key("ab"), 5) == ["ab"]
     two = P.p_examples(P.regex("^[ab]$"), 5)
     assert two == ["a", "b"]
+
+
+def _ab_regex(rng: random.Random, depth: int = 0) -> str:
+    roll = rng.randrange(7 if depth < 3 else 3)
+    if roll < 3:
+        return ("a", "b", "[ab]")[roll]
+    x, y = _ab_regex(rng, depth + 1), _ab_regex(rng, depth + 1)
+    if roll == 3:
+        return x + y
+    if roll == 4:
+        return f"({x}|{y})"
+    if roll == 5:
+        return f"({x}){rng.choice('*+?')}"
+    lo = rng.randrange(3)
+    return f"({x}){{{lo},{lo + rng.randrange(3)}}}"
+
+
+def test_p_examples_against_enumeration():
+    """The first k members of anchored patterns over the letters a and b,
+    against every word up to length 7 in shortest-then-lexicographic order."""
+    rng = random.Random(4)
+    limit = 7
+    words = ["".join(p) for n in range(limit + 1) for p in product("ab", repeat=n)]
+    for _ in range(300):
+        src = f"^{_ab_regex(rng)}$"
+        members = [w for w in words if re.search(src, w)]
+        for k in (1, 2, 5, 12):
+            got = P.p_examples(P.regex(src), k)
+            assert len(got) <= k, src
+            assert got[: len(members)] == members[:k], (src, k)
+            for w in got[len(members):]:
+                assert len(w) > limit and re.search(src, w), (src, k, w)
+
+
+def test_p_examples_past_a_long_prefix():
+    # every shorter string is a dead end, and every code point extends one
+    got = P.p_examples(P.regex("a{20}"), 3)
+    assert got == ["a" * 20, "\x00" + "a" * 20, "\x01" + "a" * 20]
 
 
 def test_emptiness_decision():
