@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -30,17 +31,8 @@ from .families import FAMILIES, make_pair
 from .norm import DEFAULT_MAX_STEPS, DEFAULT_TIMEOUT, Stats
 from .values import dump_json, parse_json
 
-REPORT_FIELDS = (
-    "left",
-    "right",
-    "verdict",
-    "elapsed_ms",
-    "steps",
-    "fast_path_hits",
-    "crefs_created",
-    "generation_invoked",
-    "error",
-)
+# report columns ahead of the Stats fields, which every row carries
+REPORT_FIELDS = ("left", "right", "verdict", "error")
 
 
 def _read_value(path: str) -> Any:
@@ -53,18 +45,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
-
-
-def _stats_row(stats: Optional[Stats]) -> dict:
-    if stats is None:
-        stats = Stats()
-    return {
-        "elapsed_ms": round(stats.elapsed * 1000, 3),
-        "steps": stats.steps,
-        "fast_path_hits": stats.fast_path_hits,
-        "crefs_created": stats.crefs_created,
-        "generation_invoked": stats.generation_invoked,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +127,7 @@ def _batch_row(task: tuple) -> tuple[int, dict]:
         "right": right,
         "verdict": "error",
         "error": None,
-        **_stats_row(None),
+        **Stats().as_dict(),
     }
     if expected:
         row["expected"] = expected
@@ -161,11 +141,11 @@ def _batch_row(task: tuple) -> tuple[int, dict]:
     except Exception as exc:
         code = _exit_code(exc)
         if isinstance(exc, BudgetExceeded):
-            row.update(_stats_row(exc.stats))
+            row.update(exc.stats.as_dict())
         row["error"] = _internal_error(exc) if code == 4 else f"{type(exc).__name__}: {exc}"
         return code, row
     row["verdict"] = result.verdict
-    row.update(_stats_row(result.stats))
+    row.update(result.stats.as_dict())
     return 0, row
 
 
@@ -210,15 +190,14 @@ def _confusion(rows: list[dict]) -> Optional[dict]:
 
 def _report_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    fields = list(REPORT_FIELDS) + ["expected"]
+    fields = [*REPORT_FIELDS, *(f.name for f in dataclasses.fields(Stats)), "expected"]
     writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
     for r in rows:
-        flat = dict(r)
+        flat = {k: ("true" if v else "false") if isinstance(v, bool) else v for k, v in r.items()}
         flat.setdefault("expected", "")
         if flat["error"] is None:
             flat["error"] = ""
-        flat["generation_invoked"] = "true" if flat["generation_invoked"] else "false"
         writer.writerow(flat)
     return buf.getvalue()
 
@@ -261,7 +240,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             note = f" [{r['error']}]" if r["error"] else ""
             lines.append(
                 f"{r['left']} vs {r['right']}: {r['verdict']}"
-                f" ({r['elapsed_ms']} ms, {r['steps']} steps)" + note
+                f" ({r['elapsed'] * 1000:.3f} ms, {r['steps']} steps)" + note
             )
         lines.append(f"total {summary['total']}, errors {summary['errors']}")
         if confusion is not None:

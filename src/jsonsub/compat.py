@@ -53,7 +53,6 @@ from .model import (
     SUniqueItems,
     Schema,
     TRUE,
-    child_schemas,
     s_all_of,
     s_any_of,
     s_not,
@@ -329,37 +328,6 @@ def _expect_count(node: Any, keyword: str) -> int:
     if q.denominator != 1 or q < 0:
         raise MalformedSchema(f"{keyword} must be a non-negative integer: {node!r}")
     return int(q)
-
-
-# ---------------------------------------------------------------------------
-# Size accounting (used to keep translation linear)
-
-
-def json_node_count(node: Any) -> int:
-    if isinstance(node, list):
-        return 1 + sum(json_node_count(x) for x in node)
-    if isinstance(node, dict):
-        return 1 + sum(json_node_count(x) for x in node.values())
-    return 1
-
-
-def term_node_count(doc: Document) -> int:
-    seen: set[int] = set()
-
-    def count(s: Schema) -> int:
-        if id(s) in seen:
-            return 0
-        seen.add(id(s))
-        total = 1
-        for kid in child_schemas(s):
-            total += count(kid)
-        return total
-
-    total = count(doc.root)
-    for name, body in doc.env.bindings.items():
-        if not name.negated:
-            total += count(body)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from .values import TYPE_NAMES
 
 ALL_TYPES = frozenset(TYPE_NAMES)
 
-FALSE_URI = "#~never"
-
 
 @dataclass(frozen=True, slots=True)
 class RefName:
@@ -77,6 +75,9 @@ class CRef:
 
 
 CREF_TRUE = CRef()
+
+FALSE_NAME = RefName("#~never")
+FALSE_REF = CRef((FALSE_NAME, FALSE_NAME.negate()))
 
 
 def cref(*names: RefName) -> CRef:
@@ -386,14 +387,10 @@ def iter_refs(s: Schema, guarded: bool = False) -> Iterator[tuple[RefName, bool]
 
 
 class Env:
-    """Bindings from reference names to bodies, plus the normalization memo."""
-
-    IN_PROGRESS = object()
+    """Bindings from reference names to bodies."""
 
     def __init__(self, bindings: Optional[dict[RefName, Schema]] = None):
         self.bindings: dict[RefName, Schema] = dict(bindings or {})
-        self.memo: dict[CRef, object] = {}
-        self._false_ref: Optional[CRef] = None
 
     def copy(self) -> "Env":
         return Env(self.bindings)
@@ -408,25 +405,17 @@ class Env:
             raise UnresolvableRef(f"unbound reference {name}") from None
 
     def cref_body(self, ref: CRef) -> Schema:
-        if ref.is_empty:
-            return TRUE
+        if len(ref.members) == 1:
+            return self.body(next(iter(ref.members)))
         return s_all_of(SRefSingle(m) for m in ref.sorted_members())
 
     def false_ref(self) -> CRef:
-        """Canonical contradictory reference set {x, not x}."""
-        if self._false_ref is None:
-            positives = sorted(n.uri for n in self.bindings if not n.negated)
-            if positives:
-                uri = positives[0]
-            else:
-                uri = FALSE_URI
-                self.bind(RefName(uri), FALSE)
-                self.bind(RefName(uri, True), TRUE)
-            base = RefName(uri)
-            if base.negate() not in self.bindings and base in self.bindings:
-                self.bind(base.negate(), s_not(self.bindings[base]))
-            self._false_ref = CRef((base, base.negate()))
-        return self._false_ref
+        """The reserved contradictory reference set {never, not never},
+        bound on first use."""
+        if FALSE_NAME not in self.bindings:
+            self.bind(FALSE_NAME, FALSE)
+            self.bind(FALSE_NAME.negate(), TRUE)
+        return FALSE_REF
 
 
 def SRefSingle(name: RefName) -> SRef:

@@ -7,12 +7,13 @@ cheap fast-fail pass over the remaining conjuncts runs first so that
 contradictions anywhere in an allOf are found without paying for full
 normalization of the terms before them.
 
-Reference sets are combined through a memo table on the environment,
-which one routine fills. A combination that is currently being
-normalized is returned as a plain union; guardedness of recursion keeps
-that sound. A combination whose body normalizes to the empty disjunction
-is collapsed to the canonical contradictory set, which lets later unions
-refute instantly.
+Reference sets are combined through a memo table on the normalization
+context, which one public routine, memo_dnf, reads and fills for the
+normalizer and the witness stage alike. A combination that is currently
+being normalized is returned as a plain union; guardedness of recursion
+keeps that sound. A combination whose body normalizes to the empty
+disjunction is collapsed to the canonical contradictory set, which lets
+later unions refute instantly.
 
 A property pattern that cuts a fragment splits it in two, and every
 requirement of the fragment then picks the side whose field meets it;
@@ -74,13 +75,11 @@ from .model import (
     SPatternProps,
     SPatternReq,
     SRef,
-    SRefSingle,
     SRepeatedItems,
     SType,
     STypeSet,
     SUniqueItems,
     Schema,
-    s_all_of,
 )
 
 DEFAULT_MAX_STEPS = 50_000_000
@@ -106,6 +105,9 @@ class Stats:
         return asdict(self)
 
 
+IN_PROGRESS = object()
+
+
 class FastFail(Exception):
     """Internal: the cheap pass could not refute the conjunction."""
 
@@ -119,6 +121,8 @@ class NormContext:
         stats: Optional[Stats] = None,
     ):
         self.env = env
+        # reference set -> its body's disjunction, or IN_PROGRESS
+        self.memo: dict[CRef, object] = {}
         self.stats = stats or Stats()
         self.max_steps = max_steps
         self.deadline = time.monotonic() + timeout
@@ -204,35 +208,32 @@ def _conj_with_ref(c: Conj, ref: CRef, ctx: NormContext, fast: bool) -> Dnf:
         return Dnf((c,))
     if ref.has_clash:
         return D_FALSE
-    env = ctx.env
-    memo = env.memo.get(ref)
-    if memo is None and len(ref.members) == 1:
-        memo = _memo_dnf(ref, env.body(next(iter(ref.members))), ctx)
-    if isinstance(memo, Dnf):
-        ctx.stats.memo_hits += 1
-        if memo.is_false:
-            return D_FALSE
-        return all_cs(c, dnf_to_schema(memo), ctx, fast)
-    if memo is Env.IN_PROGRESS and len(ref.members) == 1:
+    memo = memo_dnf(ref, ctx)
+    if memo is IN_PROGRESS:
         # body under normalization higher in the stack; unfold it inline
-        return all_cs(c, env.body(next(iter(ref.members))), ctx, fast)
-    # multi-member set not combined yet (or being combined): fold members,
-    # which reuses the per-member memoized disjunctions
-    return all_cs(c, s_all_of(SRefSingle(m) for m in ref.sorted_members()), ctx, fast)
+        return all_cs(c, ctx.env.cref_body(ref), ctx, fast)
+    ctx.stats.memo_hits += 1
+    if memo.is_false:
+        return D_FALSE
+    return all_cs(c, dnf_to_schema(memo), ctx, fast)
 
 
-def _memo_dnf(ref: CRef, body: Schema, ctx: NormContext) -> Dnf:
-    """Normalize a reference set's body into the memo. The entry reads
+def memo_dnf(ref: CRef, ctx: NormContext):
+    """The memo entry of a reference set: its body's disjunction, or
+    IN_PROGRESS while that body is being normalized higher in the stack.
+    A set without an entry is normalized first; its entry reads
     IN_PROGRESS meanwhile and is dropped again if normalization fails."""
-    # all_ds rather than dnf_of: one frame per reference on the recursion
-    env = ctx.env
-    env.memo[ref] = Env.IN_PROGRESS
+    memo = ctx.memo.get(ref)
+    if memo is not None:
+        return memo
+    ctx.memo[ref] = IN_PROGRESS
     try:
-        d = all_ds(D_TRUE, body, ctx)
+        # all_ds rather than dnf_of: one frame per reference on the recursion
+        d = all_ds(D_TRUE, ctx.env.cref_body(ref), ctx)
     except BaseException:
-        env.memo.pop(ref, None)
+        del ctx.memo[ref]
         raise
-    env.memo[ref] = d
+    ctx.memo[ref] = d
     return d
 
 
@@ -248,15 +249,15 @@ def all_xx(x: CRef, y: CRef, ctx: NormContext) -> CRef:
     env = ctx.env
     if u.has_clash:
         return env.false_ref()
-    memo = env.memo.get(u)
-    if memo is Env.IN_PROGRESS:
+    memo = ctx.memo.get(u)
+    if memo is IN_PROGRESS:
         return u
-    if isinstance(memo, Dnf):
+    if memo is None:
+        ctx.stats.crefs_created += 1
+        memo = memo_dnf(u, ctx)
+    else:
         ctx.stats.memo_hits += 1
-        return env.false_ref() if memo.is_false else u
-    ctx.stats.crefs_created += 1
-    d = _memo_dnf(u, env.cref_body(u), ctx)
-    return env.false_ref() if d.is_false else u
+    return env.false_ref() if memo.is_false else u
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +776,6 @@ def refs_of_conj(c: Conj) -> list[CRef]:
 def prepare(d: Dnf, ctx: NormContext) -> None:
     """Normalize the body of every reference set reachable from d, so the
     witness stage can read final disjunctions from the memo."""
-    env = ctx.env
     seen: set[CRef] = set()
     queue: list[CRef] = []
 
@@ -791,11 +791,6 @@ def prepare(d: Dnf, ctx: NormContext) -> None:
         ref = queue.pop()
         if ref.is_empty or ref.has_clash:
             continue
-        memo = env.memo.get(ref)
-        if memo is None or memo is Env.IN_PROGRESS:
-            ctx.tick()
-            memo = _memo_dnf(ref, env.cref_body(ref), ctx)
-        if isinstance(memo, Dnf):
-            for c in memo.conjs:
-                for sub in refs_of_conj(c):
-                    push(sub)
+        for c in memo_dnf(ref, ctx).conjs:
+            for sub in refs_of_conj(c):
+                push(sub)

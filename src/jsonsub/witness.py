@@ -23,12 +23,16 @@ by fabricating one. When the pass cannot produce enough values even
 though everything it depends on is solved, the run fails loudly instead
 of guessing a verdict.
 
-Number search is exact. One walk visits the multiples of a step inward
-from the tight interval edge, or 0, +k, -k, ... when there is none; the
-step is the factor when there is one, and otherwise 1, then finer
-decimal steps. Exhausting the candidate budget marks the disjunct failed
-for this run and bumps a diagnostic counter. Scalars answer from the
-same value streams as diversification.
+Number search is exact. One walk per step visits its multiples inward
+from the tight interval edge to the other one, or 0, +k, -k, ... when
+there is none; the step is the factor when there is one, and otherwise
+1, 1/10, 1/100, ... A step that an excluded factor divides is skipped. On
+any other step each excluded factor rules out the k*step with k = 0
+modulo some m >= 2, so k = 1 modulo their lcm always escapes: a walk ends
+only at an interval edge, and a nonempty interval holds such a point at
+some step. A number disjunct without a value is therefore empty, and
+gen_budget_hits counts those. Scalars answer from the same value streams
+as diversification.
 """
 
 from __future__ import annotations
@@ -51,13 +55,11 @@ from .canon import (
 )
 from .errors import UnsupportedFeature
 from .model import CREF_TRUE, CRef
-from .norm import NormContext, _memo_dnf, all_xx, refs_of_conj
+from .norm import NormContext, all_xx, memo_dnf, refs_of_conj
 from .values import TYPE_NAMES, canonical_key
 
 UNSAT = object()
 _OPEN = object()
-
-MAX_NUMBER_CANDIDATES = 4096
 
 
 def generate(root: Dnf, ctx: NormContext):
@@ -68,7 +70,6 @@ def generate(root: Dnf, ctx: NormContext):
 class _Generator:
     def __init__(self, ctx: NormContext):
         self.ctx = ctx
-        self.env = ctx.env
         self.solved: dict[CRef, object] = {}
         self._diversifying: set[CRef] = set()
 
@@ -80,12 +81,7 @@ class _Generator:
             return UNSAT
         if ref in self.solved:
             return self.solved[ref]
-        memo = self.env.memo.get(ref)
-        if not isinstance(memo, Dnf):
-            memo = _memo_dnf(ref, self.env.cref_body(ref), self.ctx)
-        if memo.is_false:
-            return UNSAT
-        return _OPEN
+        return UNSAT if memo_dnf(ref, self.ctx).is_false else _OPEN
 
     # -- fixpoint rounds
 
@@ -99,7 +95,7 @@ class _Generator:
 
         for c in root.conjs:
             note(refs_of_conj(c))
-        note(self.env.memo)
+        note(self.ctx.memo)
 
         while True:
             self.ctx.stats.gen_rounds += 1
@@ -111,7 +107,7 @@ class _Generator:
             for ref in sorted(universe, key=lambda r: (len(r.members), r.key())):
                 if ref in self.solved:
                     continue
-                memo = self.env.memo.get(ref)
+                memo = self.ctx.memo.get(ref)
                 if not isinstance(memo, Dnf):
                     continue
                 got = self.try_dnf(memo)
@@ -120,7 +116,7 @@ class _Generator:
                     progress = True
             # lookups normalize sets lazily; a set they added is still untried
             known = len(universe)
-            note(self.env.memo)
+            note(self.ctx.memo)
             if not progress and len(universe) == known:
                 return UNSAT
 
@@ -294,19 +290,15 @@ class _Generator:
                 if got is UNSAT or got is _OPEN:
                     return got
                 fields[name] = got
-        if co.min_props > len(fields):
-            got = self.pad_object(co, fields, [len(blocks) for blocks in plan])
-            if got is not True:
-                return got
-        return fields
+        got = self.pad_object(co, fields, co.min_props)
+        return fields if got is True else got
 
-    def pad_object(self, co: CObject, fields: dict, taken: list[int]):
-        """Grow fields to min_props with members of witnessable fragments,
-        past the taken names of each. True on success, UNSAT or _OPEN
-        otherwise."""
-        needed = co.min_props - len(fields)
-        for frag, have in zip(co.fragments, taken):
-            if needed == 0:
+    def pad_object(self, co: CObject, fields: dict, size: int):
+        """Grow fields to size with members of witnessable fragments, in
+        fragment order. True on success, UNSAT or _OPEN otherwise."""
+        needed = size - len(fields)
+        for frag in co.fragments:
+            if needed <= 0:
                 break
             if frag.ref.has_clash:
                 continue
@@ -315,15 +307,15 @@ class _Generator:
                 return _OPEN
             if filler is UNSAT:
                 continue
-            names = P.p_examples(frag.pattern, have + needed)
-            for name in names[have:]:
+            # at most len(fields) of these names are taken
+            for name in P.p_examples(frag.pattern, len(fields) + needed):
                 if name in fields:
                     continue
                 fields[name] = filler
                 needed -= 1
                 if needed == 0:
                     break
-        return True if needed == 0 else UNSAT
+        return True if needed <= 0 else UNSAT
 
     # -- diversification (distinct-element obligations)
 
@@ -356,8 +348,7 @@ class _Generator:
         try:
             out = [first]
             keys = {canonical_key(first)}
-            memo = self.env.memo[ref]
-            for c in memo.conjs:
+            for c in memo_dnf(ref, self.ctx).conjs:
                 if len(out) >= want:
                     break
                 more = self.conj_values(c, want - len(out) + len(keys))
@@ -428,38 +419,21 @@ class _Generator:
         return out
 
     def object_values(self, co: CObject, want: int):
+        """The witness object and up to want - 1 growths of it, one field
+        more each."""
         base = self.try_object(co)
         if base is _OPEN:
             return _OPEN
         if base is UNSAT:
             return []
-        out = [base]
-        cur = base
-        extra = 1
-        while len(out) < want:
-            if co.max_props is not None and len(cur) + 1 > co.max_props:
-                break
-            grown = None
-            for frag in co.fragments:
-                if frag.ref.has_clash:
-                    continue
-                filler = self.lookup(frag.ref)
-                if filler is _OPEN:
-                    return _OPEN
-                if filler is UNSAT:
-                    continue
-                names = P.p_examples(frag.pattern, len(cur) + extra)
-                fresh = next((n for n in names if n not in cur), None)
-                if fresh is not None:
-                    grown = dict(cur)
-                    grown[fresh] = filler
-                    break
-            if grown is None:
-                break
-            cur = grown
-            out.append(cur)
-            extra += 1
-        return out
+        size = len(base) + want - 1
+        if co.max_props is not None:
+            size = min(size, co.max_props)
+        grown = dict(base)
+        if self.pad_object(co, grown, size) is _OPEN:
+            return _OPEN
+        items = list(grown.items())
+        return [dict(items[:n]) for n in range(len(base), len(grown) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,53 +473,16 @@ def _number_candidates(c: CNumber) -> Iterator[Fraction]:
             if _respects(lo, c):
                 yield lo
             return
-    if c.factor is not None:
-        # when an excluded divisor divides the factor, every multiple is excluded
-        if all((c.factor / ex).denominator != 1 for ex in c.excluded):
-            yield from _walk(c, c.factor, MAX_NUMBER_CANDIDATES)
-        return
+    steps = [c.factor] if c.factor is not None else (Fraction(1, 10**s) for s in itertools.count())
     seen: set[Fraction] = set()
-    for scale in range(0, _scale_limit(c) + 1):
-        for cand in _walk(c, Fraction(1, 10**scale), 64):
+    for step in steps:
+        # every multiple of a step that an excluded factor divides is excluded
+        if any((step / ex).denominator == 1 for ex in c.excluded):
+            continue
+        for cand in _walk(c, step):
             if cand not in seen:
                 seen.add(cand)
                 yield cand
-
-
-def _decimal_scale(q: Fraction) -> int:
-    """Power of ten that expresses q, plus one for non-decimal denominators."""
-    den = q.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    return max(twos, fives) + (0 if den == 1 else 1)
-
-
-def _scale_limit(c: CNumber) -> int:
-    """Refinement depth that cannot miss a witness.
-
-    A step finer than every excluded factor can never land on one of its
-    multiples only, and a step below half the interval width always has a
-    multiple strictly inside the interval.
-    """
-    s = 12
-    for q in c.excluded:
-        s = max(s, _decimal_scale(q) + 1)
-    if c.lo is not None:
-        s = max(s, _decimal_scale(c.lo) + 1)
-    if c.hi is not None:
-        s = max(s, _decimal_scale(c.hi) + 1)
-    if c.lo is not None and c.hi is not None and c.hi > c.lo:
-        width = c.hi - c.lo
-        t = 0
-        while Fraction(1, 10**t) >= width and t < 64:
-            t += 1
-        s = max(s, t + 1)
-    return s
 
 
 def _bound_ok_low(q: Fraction, c: CNumber) -> bool:
@@ -568,22 +505,22 @@ def _respects(q: Fraction, c: CNumber) -> bool:
     return all((q / ex).denominator != 1 for ex in c.excluded)
 
 
-def _walk(c: CNumber, step: Fraction, limit: int) -> Iterator[Fraction]:
-    """The multiples of step among limit grid points that respect c,
-    walked inward from the tight interval edge, or 0, +k, -k, ... when c
-    has no bounds."""
+def _walk(c: CNumber, step: Fraction) -> Iterator[Fraction]:
+    """The multiples of step that respect c, walked inward from the tight
+    interval edge to the other one, or 0, +k, -k, ... when c has no
+    bounds."""
     if c.lo is not None:
         k0 = -(-c.lo.numerator * step.denominator // (c.lo.denominator * step.numerator))
         if k0 * step == c.lo and c.lo_strict:
             k0 += 1
-        ks: Iterable[int] = range(k0, k0 + limit)
+        ks: Iterable[int] = itertools.count(k0)
     elif c.hi is not None:
         k0 = c.hi.numerator * step.denominator // (c.hi.denominator * step.numerator)
         if k0 * step == c.hi and c.hi_strict:
             k0 -= 1
-        ks = range(k0, k0 - limit, -1)
+        ks = itertools.count(k0, -1)
     else:
-        ks = itertools.chain((0,), *((k, -k) for k in range(1, limit)))
+        ks = itertools.chain.from_iterable((k, -k) if k else (0,) for k in itertools.count())
     for k in ks:
         cand = k * step
         if not (_bound_ok_low(cand, c) and _bound_ok_high(cand, c)):

@@ -6,6 +6,7 @@ the shipped report schema with an independent validator.
 """
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 from jsonsub.cli import main, one_to_any
 from jsonsub.engine import check_equivalence, check_inclusion, satisfies_value
+from jsonsub.norm import Stats
 from jsonsub.values import parse_json
 
 REPORT_SCHEMA = json.loads(
@@ -171,10 +173,16 @@ def test_batch_csv_report(tmp_path, capsys):
     assert main(["batch", str(manifest), "--format", "csv"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 3
+    assert {f.name for f in dataclasses.fields(Stats)} <= set(rows[0])
     for row in rows:
         assert row["verdict"] in ("included", "not_included")
         assert row["generation_invoked"] in ("true", "false")
         assert row["error"] == ""
+
+
+def test_report_schema_requires_every_stats_field():
+    required = REPORT_SCHEMA["properties"]["rows"]["items"]["required"]
+    assert {f.name for f in dataclasses.fields(Stats)} <= set(required)
 
 
 def test_batch_parallel_matches_serial(tmp_path, capsys):

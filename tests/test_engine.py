@@ -267,7 +267,29 @@ REFUTED = {
 
 @pytest.mark.parametrize("name", sorted(REFUTED))
 def test_refuted_pair_has_a_checked_witness(name):
-    left, right = REFUTED[name]
+    assert_checked_witness(*REFUTED[name])
+
+
+# unique arrays of objects and arrays: the diversifier grows each element
+# by one field or one item to keep it distinct from the others
+UNIQUE_ITEMS = {
+    "plain objects": {"type": "object"},
+    "objects of integers >= 3": {
+        "type": "object",
+        "additionalProperties": {"type": "integer", "minimum": 3},
+    },
+    "nonempty number arrays": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIQUE_ITEMS))
+def test_unique_arrays_of_containers_have_checked_witnesses(name):
+    for n in range(2, 10):
+        left = {"type": "array", "uniqueItems": True, "minItems": n, "items": UNIQUE_ITEMS[name]}
+        assert_checked_witness(json.dumps(left), "false")
+
+
+def assert_checked_witness(left: str, right: str) -> None:
     res = check_inclusion(parse_json(left), parse_json(right))
     assert not res.included
     assert satisfies_value(res.witness, parse_json(left))

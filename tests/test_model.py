@@ -88,9 +88,13 @@ def test_env_body_and_copy_isolation():
 
 def test_false_ref_clashes_and_is_stable():
     env = Env()
+    env.bind(RefName("#/a", False), SType("null"))
     f = env.false_ref()
     assert f.has_clash
     assert env.false_ref() == f
+    # the reserved pair, whatever else is bound, with both bodies bound
+    assert {m.uri for m in f.members} == {"#~never"}
+    assert all(env.body(m) in (FALSE, TRUE) for m in f.members)
 
 
 def test_not_complete_binds_negative_twins():

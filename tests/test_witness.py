@@ -5,13 +5,16 @@ divisibility, exclusions) rather than against a remembered constant, so
 the assertions stay valid under any correct candidate ordering.
 """
 
+import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 from jsonsub.canon import CNumber
 from jsonsub.engine import check_inclusion, satisfies_value
 from jsonsub.values import parse_json
-from jsonsub.witness import gen_number
+from jsonsub.witness import _number_candidates, gen_number
 
 
 def exact(node):
@@ -96,6 +99,48 @@ def test_negative_only_window():
     got = gen_number(c)
     assert _respects(got, c)
     assert got < 0
+
+
+BOUNDS = [Fraction(n, 10) for n in (-25, -10, -3, 0, 1, 5, 10, 15, 20, 25, 30)]
+FACTORS = [None, Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
+EXCLUDED = [Fraction(1, 10), Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+            Fraction(2), Fraction(3), Fraction(1, 3)]
+# k*factor is a multiple of an excluded q exactly on a residue class of k;
+# over these sets the classes repeat within 60 multiples, so a scan of 100
+# multiples past a bound stands in for an unbounded side
+REACH = 100
+
+
+def _brute_force_exists(c: CNumber) -> bool:
+    if c.lo is not None and c.lo == c.hi:
+        return _respects(c.lo, c)
+    if c.factor is None:
+        # finitely many excluded factors leave gaps in every open interval
+        return c.lo is None or c.hi is None or c.lo < c.hi
+    first = None if c.lo is None else math.floor(c.lo / c.factor)
+    last = None if c.hi is None else math.ceil(c.hi / c.factor)
+    if first is None:
+        first = (0 if last is None else last) - REACH
+    if last is None:
+        last = first + REACH
+    return any(_respects(k * c.factor, c) for k in range(first, last + 1))
+
+
+def test_gen_number_agrees_with_enumeration():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        lo, hi = (None if rng.random() < 0.2 else q for q in sorted(rng.choices(BOUNDS, k=2)))
+        c = CNumber(
+            lo, rng.random() < 0.5, hi, rng.random() < 0.5,
+            rng.choice(FACTORS),
+            tuple(sorted(rng.sample(EXCLUDED, rng.randint(0, 3)))),
+        )
+        got = gen_number(c)
+        assert (got is not None) == _brute_force_exists(c), c
+        assert got is None or _respects(got, c), (c, got)
+        first = list(itertools.islice(_number_candidates(c), 5))
+        assert len(set(first)) == len(first), (c, first)
+        assert all(_respects(q, c) for q in first), (c, first)
 
 
 # ---------------------------------------------------------------------------
