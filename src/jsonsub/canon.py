@@ -52,6 +52,7 @@ from .model import (
     SRef,
     SRefSingle,
     SRepeatedItems,
+    STRUCTURAL,
     SType,
     STypeSet,
     SUniqueItems,
@@ -84,13 +85,8 @@ C_TRUE = CTypeSet(ALL_TYPES)
 
 
 @dataclass(frozen=True, slots=True)
-class CNull(Conj):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class CBoolean(Conj):
-    value: Optional[bool] = None
+    value: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +101,7 @@ class CNumber(Conj):
 
 @dataclass(frozen=True, slots=True)
 class CString(Conj):
-    pattern: Optional[P.PatternExpr] = None
+    pattern: P.PatternExpr
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,99 +223,64 @@ def any_dd(a: Dnf, b: Dnf) -> Dnf:
 # Rendering canonical forms back to schema terms
 
 
-def conj_to_schema(c: Conj) -> Schema:
-    if isinstance(c, CTypeSet):
-        return s_type_set(c.types)
-    if isinstance(c, CNull):
-        return SType("null")
+def conj_ops(c: Conj) -> tuple[Schema, ...]:
+    """The operators a typed conjunction adds to its type."""
     if isinstance(c, CBoolean):
-        parts: list[Schema] = [SType("boolean")]
-        if c.value is not None:
-            parts.append(SConst(c.value))
-        return s_all_of(parts)
+        return (SConst(c.value),)
     if isinstance(c, CNumber):
-        parts = [SType("number")]
+        parts: list[Schema] = []
         if c.lo is not None:
             parts.append(SMinimum(c.lo, c.lo_strict))
         if c.hi is not None:
             parts.append(SMaximum(c.hi, c.hi_strict))
         if c.factor is not None:
             parts.append(SMultipleOf(c.factor))
-        for q in c.excluded:
-            parts.append(SNotMultipleOf(q))
-        return s_all_of(parts)
+        parts.extend(SNotMultipleOf(q) for q in c.excluded)
+        return tuple(parts)
     if isinstance(c, CString):
-        parts = [SType("string")]
-        if c.pattern is not None:
-            parts.append(SPattern(c.pattern))
-        return s_all_of(parts)
+        return (SPattern(c.pattern),)
     if isinstance(c, CObject):
-        parts = [SType("object")]
+        parts = []
         for frag in c.fragments:
             if not frag.ref.is_empty:
                 parts.append(SPatternProps(frag.pattern, SRef(frag.ref)))
-            for req in frag.reqs:
-                parts.append(SPatternReq(frag.pattern, SRef(req)))
+            parts.extend(SPatternReq(frag.pattern, SRef(req)) for req in frag.reqs)
         if c.min_props > 0:
             parts.append(SMinProps(c.min_props))
         if c.max_props is not None:
             parts.append(SMaxProps(c.max_props))
-        return s_all_of(parts)
+        return tuple(parts)
     if isinstance(c, CArray):
-        parts = [SType("array")]
-        for i, slot in enumerate(c.items):
-            if not slot.is_empty:
-                parts.append(SItemAt(i, SRef(slot)))
+        parts = [SItemAt(i, SRef(slot)) for i, slot in enumerate(c.items) if not slot.is_empty]
         if not c.tail.is_empty:
             parts.append(SItemsFrom(len(c.items), SRef(c.tail)))
-        for idx, ref in c.contains:
-            parts.append(SContainsFrom(idx, SRef(ref)))
+        parts.extend(SContainsFrom(idx, SRef(ref)) for idx, ref in c.contains)
         if c.min_items > 0:
             parts.append(SMinItems(c.min_items))
         if c.max_items is not None:
             parts.append(SMaxItems(c.max_items))
-        if c.unique is True:
-            parts.append(SUniqueItems())
-        if c.unique is False:
-            parts.append(SRepeatedItems())
-        return s_all_of(parts)
+        if c.unique is not None:
+            parts.append(SUniqueItems() if c.unique else SRepeatedItems())
+        return tuple(parts)
     raise AssertionError(f"unknown conjunction {c!r}")
+
+
+def conj_to_schema(c: Conj) -> Schema:
+    if isinstance(c, CTypeSet):
+        return s_type_set(c.types)
+    return s_all_of((SType(conj_type(c)), *conj_ops(c)))
 
 
 def dnf_to_schema(d: Dnf) -> Schema:
     return s_any_of(conj_to_schema(c) for c in d.conjs)
 
 
+_CONJ_TYPE = {CBoolean: "boolean", CNumber: "number", CString: "string",
+              CArray: "array", CObject: "object"}
+
+
 def conj_type(c: Conj) -> Optional[str]:
-    if isinstance(c, CNull):
-        return "null"
-    if isinstance(c, CBoolean):
-        return "boolean"
-    if isinstance(c, CNumber):
-        return "number"
-    if isinstance(c, CString):
-        return "string"
-    if isinstance(c, CArray):
-        return "array"
-    if isinstance(c, CObject):
-        return "object"
-    return None
-
-
-def fresh_conj(type_name: str) -> Conj:
-    if type_name == "null":
-        return CNull()
-    if type_name == "boolean":
-        return CBoolean()
-    if type_name == "number":
-        return CNumber()
-    if type_name == "string":
-        return CString()
-    if type_name == "array":
-        return CArray()
-    if type_name == "object":
-        return CObject()
-    raise AssertionError(f"unknown type name {type_name!r}")
+    return _CONJ_TYPE.get(type(c))
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +420,8 @@ class _Stratifier:
         return SRefSingle(self.name_for(body))
 
     def walk(self, s: Schema) -> Schema:
-        if isinstance(s, SPatternProps):
-            return SPatternProps(s.pattern, self.arg(s.schema))
-        if isinstance(s, SPatternReq):
-            return SPatternReq(s.pattern, self.arg(s.schema))
-        if isinstance(s, SItemAt):
-            return SItemAt(s.index, self.arg(s.schema))
-        if isinstance(s, SItemsFrom):
-            return SItemsFrom(s.index, self.arg(s.schema))
-        if isinstance(s, SContainsFrom):
-            return SContainsFrom(s.index, self.arg(s.schema))
+        if isinstance(s, STRUCTURAL):
+            return rebuild(s, (self.arg(s.schema),))
         kids = child_schemas(s)
         if kids:
             new_kids = tuple(self.walk(k) for k in kids)

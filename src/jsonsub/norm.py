@@ -7,13 +7,19 @@ cheap fast-fail pass over the remaining conjuncts runs first so that
 contradictions anywhere in an allOf are found without paying for full
 normalization of the terms before them.
 
+Two canonical conjunctions are intersected by one routine, meet. A type,
+constant, number or string operator enters as its own canonical
+disjuncts and meets the conjunction; an object or array operator is
+inserted into it.
+
 Reference sets are combined through a memo table on the normalization
 context, which one public routine, memo_dnf, reads and fills for the
-normalizer and the witness stage alike. A combination that is currently
-being normalized is returned as a plain union; guardedness of recursion
-keeps that sound. A combination whose body normalizes to the empty
-disjunction is collapsed to the canonical contradictory set, which lets
-later unions refute instantly.
+normalizer and the witness stage alike. A conjunction meets each
+disjunct of a memo entry directly, never a schema rendered from it. A
+combination that is currently being normalized is returned as a plain
+union; guardedness of recursion keeps that sound. A combination whose
+body normalizes to the empty disjunction is collapsed to the canonical
+contradictory set, which lets later unions refute instantly.
 
 A property pattern that cuts a fragment splits it in two, and every
 requirement of the fragment then picks the side whose field meets it;
@@ -43,14 +49,14 @@ from .canon import (
     Dnf,
     Fragment,
     any_dd,
+    conj_ops,
     conj_type,
-    dnf_to_schema,
-    fresh_conj,
     not_push,
     sort_reqs,
 )
 from .errors import BudgetExceeded
 from .model import (
+    ALL_TYPES,
     CRef,
     CREF_TRUE,
     Env,
@@ -213,9 +219,13 @@ def _conj_with_ref(c: Conj, ref: CRef, ctx: NormContext, fast: bool) -> Dnf:
         # body under normalization higher in the stack; unfold it inline
         return all_cs(c, ctx.env.cref_body(ref), ctx, fast)
     ctx.stats.memo_hits += 1
-    if memo.is_false:
-        return D_FALSE
-    return all_cs(c, dnf_to_schema(memo), ctx, fast)
+    out = D_FALSE
+    for m in memo.conjs:
+        out = any_dd(out, meet(c, m, ctx))
+        if fast and out.conjs:
+            return out
+    ctx.note_width(len(out.conjs))
+    return out
 
 
 def memo_dnf(ref: CRef, ctx: NormContext):
@@ -261,9 +271,75 @@ def all_xx(x: CRef, y: CRef, ctx: NormContext) -> CRef:
 
 
 # ---------------------------------------------------------------------------
-# Insertion of a single operator into a canonical conjunction
+# Meeting two canonical conjunctions, and inserting a single operator
 
-_ANALYTICAL_TYPE = {
+
+def meet(c: Conj, c2: Conj, ctx: NormContext) -> Dnf:
+    """The intersection of two canonical conjunctions. Scalars combine
+    directly; an object or array takes c2's operators one at a time."""
+    if isinstance(c2, CTypeSet):
+        if isinstance(c, CTypeSet):
+            both = c.types & c2.types
+            return Dnf((CTypeSet(both),)) if both else D_FALSE
+        return Dnf((c,)) if conj_type(c) in c2.types else D_FALSE
+    if isinstance(c, CTypeSet):
+        return Dnf((c2,)) if conj_type(c2) in c.types else D_FALSE
+    if type(c) is not type(c2):
+        return D_FALSE
+    if isinstance(c, CNumber):
+        return _meet_number(c, c2)
+    if isinstance(c, CString):
+        pat = P.p_and(c.pattern, c2.pattern)
+        return D_FALSE if P.p_is_empty(pat) else Dnf((CString(pat),))
+    if isinstance(c, CBoolean):
+        return Dnf((c,)) if c.value == c2.value else D_FALSE
+    insert = _insert_object if isinstance(c, CObject) else _insert_array
+    d = Dnf((c,))
+    for k in conj_ops(c2):
+        d = _flat_map(d, lambda x, k=k: insert(x, k, ctx))
+    return d
+
+
+# every value not of the given type
+_OFF = {t: CTypeSet(ALL_TYPES - {t}) for t in ALL_TYPES}
+
+
+def _scalar_dnf(k: Schema) -> Dnf:
+    """A type, constant, number or string operator as canonical
+    disjuncts. Number and string operators hold vacuously off their type."""
+    if isinstance(k, SType):
+        return Dnf((CTypeSet(frozenset((k.name,))),))
+    if isinstance(k, STypeSet):
+        return Dnf((CTypeSet(k.names),))
+    if isinstance(k, SConst):
+        if isinstance(k.value, bool):
+            return Dnf((CBoolean(k.value),))
+        q = Fraction(k.value)
+        return Dnf((CNumber(lo=q, hi=q),))
+    if isinstance(k, SNotConst):
+        if isinstance(k.value, bool):
+            return Dnf((_OFF["boolean"], CBoolean(not k.value)))
+        q = Fraction(k.value)
+        below, above = CNumber(hi=q, hi_strict=True), CNumber(lo=q, lo_strict=True)
+        return Dnf((_OFF["number"], below, above))
+    if isinstance(k, SMinimum):
+        c2 = CNumber(lo=k.bound, lo_strict=k.exclusive)
+    elif isinstance(k, SMaximum):
+        c2 = CNumber(hi=k.bound, hi_strict=k.exclusive)
+    elif isinstance(k, SMultipleOf):
+        c2 = CNumber(factor=k.factor)
+    elif isinstance(k, SNotMultipleOf):
+        c2 = CNumber(excluded=(k.factor,))
+    elif isinstance(k, SPattern):
+        if P.p_is_empty(k.pattern):
+            return Dnf((_OFF["string"],))
+        c2 = CString(k.pattern)
+    else:
+        raise AssertionError(f"not an operator: {k!r}")
+    return Dnf((_OFF[conj_type(c2)], c2))
+
+
+_CONTAINER_TYPE = {
     SPatternProps: "object",
     SPatternReq: "object",
     SMinProps: "object",
@@ -275,28 +351,16 @@ _ANALYTICAL_TYPE = {
     SMaxItems: "array",
     SUniqueItems: "array",
     SRepeatedItems: "array",
-    SMinimum: "number",
-    SMaximum: "number",
-    SMultipleOf: "number",
-    SNotMultipleOf: "number",
-    SPattern: "string",
 }
 
 
 def all_ck(c: Conj, k: Schema, ctx: NormContext) -> Dnf:
     ctx.tick()
-    if isinstance(k, SType):
-        return _with_types(c, frozenset((k.name,)))
-    if isinstance(k, STypeSet):
-        return _with_types(c, k.names)
-    if isinstance(k, SConst):
-        return _with_const(c, k.value)
-    if isinstance(k, SNotConst):
-        return _with_not_const(c, k.value, ctx)
-
-    k_type = _ANALYTICAL_TYPE.get(type(k))
+    k_type = _CONTAINER_TYPE.get(type(k))
     if k_type is None:
-        raise AssertionError(f"not an operator: {k!r}")
+        d = _flat_map(_scalar_dnf(k), lambda c2: meet(c, c2, ctx))
+        ctx.note_width(len(d.conjs))
+        return d
 
     if isinstance(c, CTypeSet):
         if k_type not in c.types:
@@ -305,88 +369,16 @@ def all_ck(c: Conj, k: Schema, ctx: NormContext) -> Dnf:
         rest = c.types - {k_type}
         if rest:
             parts.append(CTypeSet(rest))
-        parts.extend(all_ck(fresh_conj(k_type), k, ctx).conjs)
+        fresh = CObject() if k_type == "object" else CArray()
+        parts.extend(all_ck(fresh, k, ctx).conjs)
         ctx.note_width(len(parts))
         return Dnf(tuple(parts))
 
     if conj_type(c) != k_type:
         return Dnf((c,))
-
     if isinstance(c, CObject):
         return _insert_object(c, k, ctx)
-    if isinstance(c, CArray):
-        return _insert_array(c, k, ctx)
-    if isinstance(c, CNumber):
-        return _insert_number(c, k)
-    if isinstance(c, CString):
-        return _insert_string(c, k)
-    raise AssertionError(f"no insertion for {c!r} and {k!r}")
-
-
-def _with_types(c: Conj, names: frozenset[str]) -> Dnf:
-    if isinstance(c, CTypeSet):
-        both = c.types & names
-        if not both:
-            return D_FALSE
-        return Dnf((CTypeSet(both),))
-    t = conj_type(c)
-    return Dnf((c,)) if t in names else D_FALSE
-
-
-def _with_const(c: Conj, value) -> Dnf:
-    if isinstance(value, bool):
-        if isinstance(c, CTypeSet):
-            return Dnf((CBoolean(value),)) if "boolean" in c.types else D_FALSE
-        if isinstance(c, CBoolean):
-            if c.value is None or c.value == value:
-                return Dnf((CBoolean(value),))
-            return D_FALSE
-        return D_FALSE
-    q = Fraction(value)
-    if isinstance(c, CTypeSet):
-        if "number" not in c.types:
-            return D_FALSE
-        return Dnf((CNumber(lo=q, hi=q),))
-    if isinstance(c, CNumber):
-        d = _insert_number(c, SMinimum(q, False))
-        if d.is_false:
-            return D_FALSE
-        return _insert_number(d.conjs[0], SMaximum(q, False))
-    return D_FALSE
-
-
-def _with_not_const(c: Conj, value, ctx: NormContext) -> Dnf:
-    if isinstance(value, bool):
-        if isinstance(c, CTypeSet):
-            parts: list[Conj] = []
-            rest = c.types - {"boolean"}
-            if rest:
-                parts.append(CTypeSet(rest))
-            if "boolean" in c.types:
-                parts.append(CBoolean(not value))
-            return Dnf(tuple(parts))
-        if isinstance(c, CBoolean):
-            if c.value is None:
-                return Dnf((CBoolean(not value),))
-            return Dnf((c,)) if c.value != value else D_FALSE
-        return Dnf((c,))
-    q = Fraction(value)
-    if isinstance(c, CTypeSet):
-        parts = []
-        rest = c.types - {"number"}
-        if rest:
-            parts.append(CTypeSet(rest))
-        if "number" in c.types:
-            parts.append(CNumber(hi=q, hi_strict=True))
-            parts.append(CNumber(lo=q, lo_strict=True))
-        return Dnf(tuple(parts))
-    if isinstance(c, CNumber):
-        below = _insert_number(c, SMaximum(q, True))
-        above = _insert_number(c, SMinimum(q, True))
-        out = any_dd(below, above)
-        ctx.note_width(len(out.conjs))
-        return out
-    return Dnf((c,))
+    return _insert_array(c, k, ctx)
 
 
 # -- objects
@@ -592,7 +584,7 @@ def _insert_array(ca: CArray, k: Schema, ctx: NormContext) -> Dnf:
 
 def _cap_array(ca: CArray, m: int) -> Dnf:
     """Apply an upper length bound, truncating vacuous structure."""
-    if m < ca.min_items:
+    if m < ca.min_items or (ca.unique is False and m < 2):
         return D_FALSE
     for idx, _ in ca.contains:
         if idx >= m:
@@ -705,35 +697,27 @@ def _relift(d: Dnf, pending: list[tuple[int, CRef]], ctx: NormContext) -> Dnf:
 # -- numbers
 
 
-def _insert_number(cn: CNumber, k: Schema) -> Dnf:
-    lo, lo_s, hi, hi_s = cn.lo, cn.lo_strict, cn.hi, cn.hi_strict
-    factor, excluded = cn.factor, cn.excluded
-    if isinstance(k, SMinimum):
-        if lo is None or k.bound > lo or (k.bound == lo and k.exclusive and not lo_s):
-            lo, lo_s = k.bound, k.exclusive
-    elif isinstance(k, SMaximum):
-        if hi is None or k.bound < hi or (k.bound == hi and k.exclusive and not hi_s):
-            hi, hi_s = k.bound, k.exclusive
-    elif isinstance(k, SMultipleOf):
-        factor = k.factor if factor is None else _lcm_fraction(factor, k.factor)
-    elif isinstance(k, SNotMultipleOf):
-        excluded = tuple(sorted(set(excluded) | {k.factor}))
-    else:
-        raise AssertionError(f"no number insertion for {k!r}")
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_s or hi_s)):
+def _meet_number(a: CNumber, b: CNumber) -> Dnf:
+    """Tighten both bounds, combine the factors, unite the exclusions."""
+    lo, lo_s, hi, hi_s = a.lo, a.lo_strict, a.hi, a.hi_strict
+    if b.lo is not None and (lo is None or b.lo > lo or (b.lo == lo and b.lo_strict)):
+        lo, lo_s = b.lo, b.lo_strict
+    if b.hi is not None and (hi is None or b.hi < hi or (b.hi == hi and b.hi_strict)):
+        hi, hi_s = b.hi, b.hi_strict
+    factor = a.factor
+    if b.factor is not None:
+        factor = b.factor if factor is None else _lcm_fraction(factor, b.factor)
+    excluded = tuple(sorted(set(a.excluded) | set(b.excluded)))
+    if lo is not None and hi is not None and (lo > hi or (lo == hi and (lo_s or hi_s))):
+        return D_FALSE
+    if factor is not None and any((factor / q).denominator == 1 for q in excluded):
+        return D_FALSE
+    if lo is not None and lo == hi:
+        # a single point must meet the factor and avoid every exclusion
+        if factor is not None and (lo / factor).denominator != 1:
             return D_FALSE
-    if factor is not None:
-        for q in excluded:
-            if (factor / q).denominator == 1:
-                return D_FALSE
-        if lo is not None and hi is not None and lo == hi:
-            if (lo / factor).denominator != 1:
-                return D_FALSE
-    if lo is not None and hi is not None and lo == hi:
-        for q in excluded:
-            if (lo / q).denominator == 1:
-                return D_FALSE
+        if any((lo / q).denominator == 1 for q in excluded):
+            return D_FALSE
     return Dnf((CNumber(lo, lo_s, hi, hi_s, factor, excluded),))
 
 
@@ -742,18 +726,6 @@ def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
     num = a.numerator * b.numerator // math.gcd(a.numerator, b.numerator)
     den = math.gcd(a.denominator, b.denominator)
     return Fraction(num, den)
-
-
-# -- strings
-
-
-def _insert_string(cs: CString, k: Schema) -> Dnf:
-    if not isinstance(k, SPattern):
-        raise AssertionError(f"no string insertion for {k!r}")
-    pat = k.pattern if cs.pattern is None else P.p_and(cs.pattern, k.pattern)
-    if P.p_is_empty(pat):
-        return D_FALSE
-    return Dnf((CString(pat),))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from . import patterns as P
 from .canon import (
     CArray,
     CBoolean,
-    CNull,
     CNumber,
     CObject,
     CString,
@@ -374,15 +373,11 @@ class _Generator:
                 itertools.islice(s, want) for s in streams
             )
             return list(itertools.islice(merged, want))
-        if isinstance(c, CNull):
-            return [None]
         if isinstance(c, CBoolean):
-            return [c.value] if c.value is not None else [False, True]
+            return [c.value]
         if isinstance(c, CNumber):
             return list(itertools.islice(_number_candidates(c), want))
         if isinstance(c, CString):
-            if c.pattern is None:
-                return list(itertools.islice(_plain_values("string"), want))
             return P.p_examples(c.pattern, want)
         if isinstance(c, CArray):
             return self.array_values(c, want)

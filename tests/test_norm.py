@@ -6,12 +6,21 @@ brute-force sweep that replays both the original schema and its
 disjunctive normal form against every value of a bounded universe.
 """
 
+import functools
 import json
 import random
 
 import pytest
 
-from jsonsub.canon import CArray, dnf_to_schema, expand_oneof_doc, stratify
+from jsonsub import canon
+from jsonsub.canon import (
+    CArray,
+    conj_to_schema,
+    conj_type,
+    dnf_to_schema,
+    expand_oneof_doc,
+    stratify,
+)
 from jsonsub.engine import (
     check_inclusion,
     iter_universe,
@@ -19,12 +28,12 @@ from jsonsub.engine import (
     satisfies,
 )
 from jsonsub.errors import BudgetExceeded
-from jsonsub.families import make_pair
-from jsonsub.model import not_complete
-from jsonsub.norm import NormContext, dnf_of, prepare
+from jsonsub.families import make_pair, rec_depth
+from jsonsub.model import Document, Env, not_complete
+from jsonsub.norm import NormContext, dnf_of, meet, prepare
 from jsonsub.values import parse_json
 
-from _family import gen_schema, universe_for
+from _family import gen_pair, gen_schema, universe_for
 
 
 def exact(node):
@@ -59,6 +68,9 @@ EMPTY = [
     {"type": "object", "minProperties": 2, "maxProperties": 1},
     {"allOf": [True, False]},
     {"not": True},
+    # a repeated pair needs two items, whichever bound comes first
+    {"allOf": [{"not": {"uniqueItems": True}}, {"maxItems": 1}]},
+    {"allOf": [{"maxItems": 1}, {"not": {"uniqueItems": True}}]},
 ]
 
 
@@ -108,6 +120,59 @@ def test_dnf_matches_source_on_universe():
             want = satisfies(value, ref_doc.root, ref_doc.env)
             got = satisfies(value, rebuilt, doc.env)
             assert got == want, (node, value)
+
+
+# ---------------------------------------------------------------------------
+# meet: the intersection of two canonical conjunctions
+
+
+def test_meet_is_intersection_on_universe():
+    # pairs of one type, or a type set against a typed conjunction; two
+    # different types meet trivially
+    rng = random.Random(20261018)
+    pairs = 0
+    while pairs < 50:
+        nodes = (gen_schema(rng), gen_schema(rng))
+        ref_docs = [load_document(exact(n), f"s{i}") for i, n in enumerate(nodes)]
+        values = list(iter_universe(universe_for(ref_docs)))
+
+        env = Env()
+        for d in ref_docs:
+            env.bindings.update(d.env.bindings)
+        roots = [stratify(expand_oneof_doc(Document(d.root, env))).root for d in ref_docs]
+        not_complete(env)
+        ctx = NormContext(env)
+        left, right = (dnf_of(r, ctx).conjs for r in roots)
+
+        def accepted(schema):
+            return [satisfies(v, schema, env) for v in values]
+
+        @functools.cache
+        def alone(c):
+            return accepted(conj_to_schema(c))
+
+        for c in left:
+            for m in right:
+                types = {conj_type(c), conj_type(m)}
+                if types == {None} or (len(types) == 2 and None not in types):
+                    continue
+                got = accepted(dnf_to_schema(meet(c, m, ctx)))
+                for value, g, a, b in zip(values, got, alone(c), alone(m)):
+                    assert g == (a and b), (nodes, c, m, value)
+                pairs += 1
+
+
+def test_memo_hits_build_no_schema(monkeypatch):
+    def rendered(*_):
+        raise AssertionError("normalization rendered a canonical form")
+
+    monkeypatch.setattr(canon, "conj_to_schema", rendered)
+    monkeypatch.setattr(canon, "dnf_to_schema", rendered)
+    res = check_inclusion(*rec_depth(16))
+    assert res.included and res.stats.memo_hits > 0
+    rng = random.Random(7)
+    for _ in range(200):
+        check_inclusion(*gen_pair(rng))
 
 
 # ---------------------------------------------------------------------------
