@@ -17,6 +17,7 @@ from .engine import (
     check_equivalence_terms,
     check_inclusion,
     check_inclusion_terms,
+    compile_validator,
     derive_universe,
     iter_universe,
     load_document,
@@ -59,6 +60,7 @@ __all__ = [
     "check_equivalence_terms",
     "check_inclusion",
     "check_inclusion_terms",
+    "compile_validator",
     "derive_universe",
     "dump_json",
     "iter_universe",

@@ -9,11 +9,14 @@ either produces a concrete counterexample or certifies, by fixpoint, that
 none exists.  Every counterexample is re-checked against the original
 terms with the plain semantic evaluator before it is reported.
 
-The module also hosts that evaluator (`satisfies`) and a brute-force
-oracle (`oracle_included`) that enumerates a bounded value universe in a
-deterministic size-ascending order.  The oracle shares nothing with the
-normalizer beyond the term types, which is what makes it useful as an
-independent cross-check in tests.
+The module also hosts that evaluator and a brute-force oracle
+(`oracle_included`) that enumerates a bounded value universe in a
+deterministic size-ascending order.  `compile_validator` walks a schema
+term once into a predicate on values; the oracle compiles each side once
+and runs the predicates over the universe, and `satisfies` compiles for a
+single value.  The evaluator reads `Schema` terms, never canonical forms,
+so the oracle shares nothing with the normalizer beyond the term types,
+which is what makes it useful as an independent cross-check in tests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator
 
 from . import patterns as P
 from .canon import expand_oneof_doc, stratify
@@ -31,6 +34,7 @@ from .errors import MalformedSchema, UniverseTooLarge
 from .model import (
     Document,
     Env,
+    RefName,
     SAllOf,
     SAnyOf,
     SBool,
@@ -65,7 +69,7 @@ from .model import (
     well_formed,
 )
 from .norm import DEFAULT_MAX_STEPS, DEFAULT_TIMEOUT, NormContext, Stats, dnf_of, prepare
-from .values import canonical_key, is_number, json_equal, json_type
+from .values import canonical_key, is_number
 from .witness import UNSAT, generate
 
 __all__ = [
@@ -77,6 +81,7 @@ __all__ = [
     "check_equivalence_terms",
     "check_inclusion",
     "check_inclusion_terms",
+    "compile_validator",
     "derive_universe",
     "iter_universe",
     "load_document",
@@ -102,13 +107,10 @@ def load_document(node: Any, uri_prefix: str = "") -> Document:
 def satisfies(value: Any, schema: Schema, env: Env) -> bool:
     """Decide whether a JSON value is an instance of a schema term.
 
-    Pure: neither the environment nor the value is touched.  Operators
-    that inspect a single type are vacuously true on values of any other
-    type, mirroring the draft keywords they came from.  Recursion through
-    references terminates because every reference cycle is guarded by a
-    structural operator, which steps into a strictly smaller value.
+    Compiles the term for this one value; a caller testing many values
+    against one term should compile it once with `compile_validator`.
     """
-    return _SAT[type(schema)](value, schema, env)
+    return compile_validator(schema, env)(value)
 
 
 def satisfies_value(value: Any, schema_node: Any) -> bool:
@@ -116,175 +118,172 @@ def satisfies_value(value: Any, schema_node: Any) -> bool:
     return satisfies(value, doc.root, doc.env)
 
 
-def _sat_bool(j, s, env):
-    return s.value
-
-
-def _sat_type(j, s, env):
-    return json_type(j) == s.name
-
-
-def _sat_type_set(j, s, env):
-    return json_type(j) in s.names
-
-
-def _sat_const(j, s, env):
-    return json_equal(j, s.value)
-
-
-def _sat_not_const(j, s, env):
-    return not json_equal(j, s.value)
-
-
-def _sat_ref(j, s, env):
-    return all(satisfies(j, env.body(name), env) for name in s.ref.sorted_members())
-
-
-def _sat_all_of(j, s, env):
-    return all(satisfies(j, item, env) for item in s.items)
-
-
-def _sat_any_of(j, s, env):
-    return any(satisfies(j, item, env) for item in s.items)
-
-
-def _sat_one_of(j, s, env):
-    return sum(1 for item in s.items if satisfies(j, item, env)) == 1
-
-
-def _sat_not(j, s, env):
-    return not satisfies(j, s.item, env)
-
-
-def _sat_pattern_props(j, s, env):
-    if not isinstance(j, dict):
-        return True
-    return all(
-        satisfies(v, s.schema, env)
-        for k, v in j.items()
-        if P.p_matches(s.pattern, k)
-    )
-
-
-def _sat_pattern_req(j, s, env):
-    if not isinstance(j, dict):
-        return True
-    return any(
-        P.p_matches(s.pattern, k) and satisfies(v, s.schema, env)
-        for k, v in j.items()
-    )
-
-
-def _sat_min_props(j, s, env):
-    return not isinstance(j, dict) or len(j) >= s.bound
-
-
-def _sat_max_props(j, s, env):
-    return not isinstance(j, dict) or len(j) <= s.bound
-
-
-def _sat_item_at(j, s, env):
-    if not isinstance(j, list) or s.index >= len(j):
-        return True
-    return satisfies(j[s.index], s.schema, env)
-
-
-def _sat_items_from(j, s, env):
-    if not isinstance(j, list):
-        return True
-    return all(satisfies(v, s.schema, env) for v in j[s.index:])
-
-
-def _sat_contains_from(j, s, env):
-    if not isinstance(j, list):
-        return True
-    return any(satisfies(v, s.schema, env) for v in j[s.index:])
-
-
-def _sat_min_items(j, s, env):
-    return not isinstance(j, list) or len(j) >= s.bound
-
-
-def _sat_max_items(j, s, env):
-    return not isinstance(j, list) or len(j) <= s.bound
-
-
-def _sat_unique(j, s, env):
-    if not isinstance(j, list):
-        return True
-    seen = set()
-    for v in j:
-        k = canonical_key(v)
-        if k in seen:
-            return False
-        seen.add(k)
+def _always(j: Any) -> bool:
     return True
 
 
-def _sat_repeated(j, s, env):
-    if not isinstance(j, list):
+def _never(j: Any) -> bool:
+    return False
+
+
+def _all_of(fs: tuple) -> Callable[[Any], bool]:
+    def all_of(j):
+        for f in fs:
+            if not f(j):
+                return False
         return True
-    return not _sat_unique(j, s, env)
+
+    return all_of
 
 
-def _sat_minimum(j, s, env):
-    if not is_number(j):
-        return True
-    return j > s.bound if s.exclusive else j >= s.bound
+def _repeats(items: list) -> bool:
+    keys = [canonical_key(v) for v in items]
+    return len(set(keys)) < len(keys)
 
 
-def _sat_maximum(j, s, env):
-    if not is_number(j):
-        return True
-    return j < s.bound if s.exclusive else j <= s.bound
-
-
-def _sat_multiple_of(j, s, env):
-    if not is_number(j):
-        return True
-    return (Fraction(j) / s.factor).denominator == 1
-
-
-def _sat_not_multiple_of(j, s, env):
-    if not is_number(j):
-        return True
-    return (Fraction(j) / s.factor).denominator != 1
-
-
-def _sat_pattern(j, s, env):
-    if not isinstance(j, str):
-        return True
-    return P.p_matches(s.pattern, j)
-
-
-_SAT = {
-    SBool: _sat_bool,
-    SType: _sat_type,
-    STypeSet: _sat_type_set,
-    SConst: _sat_const,
-    SNotConst: _sat_not_const,
-    SRef: _sat_ref,
-    SAllOf: _sat_all_of,
-    SAnyOf: _sat_any_of,
-    SOneOf: _sat_one_of,
-    SNot: _sat_not,
-    SPatternProps: _sat_pattern_props,
-    SPatternReq: _sat_pattern_req,
-    SMinProps: _sat_min_props,
-    SMaxProps: _sat_max_props,
-    SItemAt: _sat_item_at,
-    SItemsFrom: _sat_items_from,
-    SContainsFrom: _sat_contains_from,
-    SMinItems: _sat_min_items,
-    SMaxItems: _sat_max_items,
-    SUniqueItems: _sat_unique,
-    SRepeatedItems: _sat_repeated,
-    SMinimum: _sat_minimum,
-    SMaximum: _sat_maximum,
-    SMultipleOf: _sat_multiple_of,
-    SNotMultipleOf: _sat_not_multiple_of,
-    SPattern: _sat_pattern,
+# the JSON type of a value by its exact Python type: no ABC instance check
+# for Fraction on every non-number, and booleans are not numbers
+_JSON_TYPE = {
+    type(None): "null",
+    bool: "boolean",
+    int: "number",
+    Fraction: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
 }
+_NUMBER = frozenset((int, Fraction))
+
+
+def compile_validator(schema: Schema, env: Env) -> Callable[[Any], bool]:
+    """Compile a schema term into a predicate on JSON values.
+
+    The term is walked once into nested closures.  Operators that inspect
+    a single type are vacuously true on values of any other type,
+    mirroring the draft keywords they came from.  Constants, pattern
+    automata and the numerator and denominator of every factor are bound
+    here, not per value.  A reference body is compiled on its first use
+    and shared through a table local to this call, so reference cycles
+    compile once and unreachable bindings not at all; evaluation
+    terminates because every cycle is guarded by a structural operator,
+    which steps into a strictly smaller value.  Neither the environment
+    nor the value is touched.  Values are read by their exact Python
+    types, as `parse_json` builds them: numbers are `int` or `Fraction`.
+    """
+    bodies: dict[RefName, Callable[[Any], bool]] = {}
+
+    def ref(name: RefName) -> Callable[[Any], bool]:
+        def check(j):
+            f = bodies.get(name)
+            if f is None:
+                f = bodies[name] = comp(env.body(name))
+            return f(j)
+
+        return check
+
+    def comp(s: Schema) -> Callable[[Any], bool]:
+        t = type(s)
+        if t is SBool:
+            return _always if s.value else _never
+        if t in (SType, STypeSet):
+            names = frozenset((s.name,)) if t is SType else s.names
+            return lambda j: _JSON_TYPE.get(type(j)) in names
+        if t in (SConst, SNotConst):
+            # the payload is a boolean or an exact number (see SConst)
+            v, want = s.value, t is SConst
+            if isinstance(v, bool):
+                return lambda j: (j is v) is want
+            return lambda j: (type(j) in _NUMBER and j == v) is want
+        if t is SRef:
+            fs = tuple(map(ref, s.ref.sorted_members()))
+            return fs[0] if len(fs) == 1 else _all_of(fs)
+        if t is SAllOf:
+            return _all_of(tuple(map(comp, s.items)))
+        if t is SAnyOf:
+            fs = tuple(map(comp, s.items))
+
+            def any_of(j):
+                for f in fs:
+                    if f(j):
+                        return True
+                return False
+
+            return any_of
+        if t is SOneOf:
+            fs = tuple(map(comp, s.items))
+
+            def one_of(j):
+                found = False
+                for f in fs:
+                    if f(j):
+                        if found:
+                            return False
+                        found = True
+                return found
+
+            return one_of
+        if t is SNot:
+            f = comp(s.item)
+            return lambda j: not f(j)
+        if t in (SPatternProps, SPatternReq):
+            accepts = P.compile_pattern(s.pattern).accepts
+            f = comp(s.schema)
+            if t is SPatternProps:
+                return lambda j: type(j) is not dict or all(
+                    f(v) for k, v in j.items() if accepts(k)
+                )
+            return lambda j: type(j) is not dict or any(
+                accepts(k) and f(v) for k, v in j.items()
+            )
+        if t is SPattern:
+            accepts = P.compile_pattern(s.pattern).accepts
+            return lambda j: type(j) is not str or accepts(j)
+        if t is SItemAt:
+            i, f = s.index, comp(s.schema)
+            return lambda j: type(j) is not list or len(j) <= i or f(j[i])
+        if t is SItemsFrom:
+            i, f = s.index, comp(s.schema)
+            return lambda j: type(j) is not list or all(f(v) for v in j[i:])
+        if t is SContainsFrom:
+            i, f = s.index, comp(s.schema)
+            return lambda j: type(j) is not list or any(f(v) for v in j[i:])
+        if t is SMinProps:
+            b = s.bound
+            return lambda j: type(j) is not dict or len(j) >= b
+        if t is SMaxProps:
+            b = s.bound
+            return lambda j: type(j) is not dict or len(j) <= b
+        if t is SMinItems:
+            b = s.bound
+            return lambda j: type(j) is not list or len(j) >= b
+        if t is SMaxItems:
+            b = s.bound
+            return lambda j: type(j) is not list or len(j) <= b
+        if t is SUniqueItems:
+            return lambda j: type(j) is not list or not _repeats(j)
+        if t is SRepeatedItems:
+            return lambda j: type(j) is not list or _repeats(j)
+        if t is SMinimum:
+            b = s.bound
+            if s.exclusive:
+                return lambda j: type(j) not in _NUMBER or j > b
+            return lambda j: type(j) not in _NUMBER or j >= b
+        if t is SMaximum:
+            b = s.bound
+            if s.exclusive:
+                return lambda j: type(j) not in _NUMBER or j < b
+            return lambda j: type(j) not in _NUMBER or j <= b
+        if t in (SMultipleOf, SNotMultipleOf):
+            # j / (n/d) is an integer iff j's denominator times n divides
+            # j's numerator times d
+            n, d = s.factor.numerator, s.factor.denominator
+            want = t is SMultipleOf
+            return lambda j: type(j) not in _NUMBER or (
+                j.numerator * d % (j.denominator * n) == 0
+            ) is want
+        raise TypeError(f"not a schema term: {s!r}")
+
+    return comp(schema)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +513,9 @@ def oracle_included(
     s1: Schema, s2: Schema, env: Env, universe: UniverseParams
 ) -> OracleOutcome:
     """Search the bounded universe for an instance of s1 that violates s2."""
+    in_s1, in_s2 = compile_validator(s1, env), compile_validator(s2, env)
     for j in iter_universe(universe):
-        if satisfies(j, s1, env) and not satisfies(j, s2, env):
+        if in_s1(j) and not in_s2(j):
             return OracleOutcome(True, j)
     return OracleOutcome(False)
 

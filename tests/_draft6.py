@@ -2,14 +2,15 @@
 
 A group is one schema plus its labeled test cases.  Groups whose schema
 the loader rejects are recorded with the rejection class; every other
-group is scored case by case against `satisfies_value`.  Running this
-module prints the unsupported-group manifest as JSON.
+group's schema is compiled once with `compile_validator` and scored case
+by case.  Running this module prints the unsupported-group manifest as
+JSON.
 """
 
 import json
 from pathlib import Path
 
-from jsonsub.engine import load_document, satisfies
+from jsonsub.engine import compile_validator, load_document
 from jsonsub.errors import JsonSubError
 from jsonsub.values import parse_json
 
@@ -43,9 +44,10 @@ def classify():
                  "error": type(exc).__name__}
             )
             continue
+        holds = compile_validator(doc.root, doc.env)
         for case in group["tests"]:
             value = parse_json(json.dumps(case["data"]))
-            ours = satisfies(value, doc.root, doc.env)
+            ours = holds(value)
             results.append(
                 (fname, group["description"], case["description"],
                  ours, case["valid"])

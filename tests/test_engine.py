@@ -8,11 +8,13 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from jsonsub import engine
 from jsonsub.engine import (
     OracleOutcome,
     UniverseParams,
     check_equivalence,
     check_inclusion,
+    compile_validator,
     derive_universe,
     iter_universe,
     load_document,
@@ -22,6 +24,8 @@ from jsonsub.engine import (
 from jsonsub.errors import BudgetExceeded, MalformedSchema, UniverseTooLarge
 from jsonsub.model import Env
 from jsonsub.values import dump_json, parse_json
+
+from _family import gen_pair
 
 
 def exact(node):
@@ -80,6 +84,18 @@ CASES = [
     (2.0, {"enum": [1, 2]}, True),
     ({}, {"minProperties": 1}, False),
     ({"a": 1}, {"maxProperties": 0}, False),
+    # a boolean constant is never the number Python equates it with
+    (False, {"const": 0}, False),
+    (0, {"enum": [False]}, False),
+    (1, {"enum": [True]}, False),
+    (True, {"not": {"const": 1}}, True),
+    (0, {"enum": [0.0]}, True),
+    # divisibility is exact, for large, long and negative numbers alike
+    (2**53, {"multipleOf": 1.5}, False),
+    (300.0001, {"multipleOf": 0.0001}, True),
+    (-0.3, {"multipleOf": 0.1}, True),
+    (7, {"not": {"multipleOf": 2}}, True),
+    (3, {"oneOf": [{"minimum": 1}, {"minimum": 2}, {"minimum": 3}]}, False),
 ]
 
 
@@ -90,6 +106,47 @@ CASES = [
 )
 def test_satisfies_anchor(value, schema, want):
     assert sat(value, schema) is want
+
+
+def plain(exact_node):
+    return json.loads(dump_json(exact_node, None), parse_float=Decimal)
+
+
+def test_compiled_validator_agrees_with_draft6_on_family_universes():
+    rng = random.Random(7)
+    values = 0
+    for _ in range(150):
+        left, right = gen_pair(rng)
+        ldoc = load_document(left, "left")
+        rdoc = load_document(right, "right")
+        env = Env()
+        env.bindings.update(ldoc.env.bindings)
+        env.bindings.update(rdoc.env.bindings)
+        universe = list(iter_universe(derive_universe([ldoc.root, rdoc.root], env)))
+        values += len(universe)
+        for node, doc in ((left, ldoc), (right, rdoc)):
+            ours = compile_validator(doc.root, env)
+            reference = jsonschema.Draft6Validator(plain(node))
+            for value in universe:
+                assert ours(value) == reference.is_valid(plain(value)), (node, value)
+    assert values > 30_000
+
+
+def test_oracle_compiles_each_side_once(monkeypatch):
+    compiled = []
+
+    def counting(schema, env):
+        compiled.append(schema)
+        return compile_validator(schema, env)
+
+    monkeypatch.setattr(engine, "compile_validator", counting)
+    doc = load_document(exact({"anyOf": [{"type": "array"}, {"minimum": 1}]}))
+    universe = UniverseParams()
+    assert len(list(iter_universe(universe))) == 240
+    # identical sides: the oracle walks the whole universe
+    out = oracle_included(doc.root, doc.root, doc.env, universe)
+    assert out.counterexample_found is False
+    assert len(compiled) == 2
 
 
 def test_ref_means_every_member():

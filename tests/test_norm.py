@@ -23,9 +23,9 @@ from jsonsub.canon import (
 )
 from jsonsub.engine import (
     check_inclusion,
+    compile_validator,
     iter_universe,
     load_document,
-    satisfies,
 )
 from jsonsub.errors import BudgetExceeded
 from jsonsub.families import make_pair, rec_depth
@@ -116,10 +116,10 @@ def test_dnf_matches_source_on_universe():
         ctx = NormContext(doc.env)
         rebuilt = dnf_to_schema(dnf_of(doc.root, ctx))
 
+        want = compile_validator(ref_doc.root, ref_doc.env)
+        got = compile_validator(rebuilt, doc.env)
         for value in iter_universe(params):
-            want = satisfies(value, ref_doc.root, ref_doc.env)
-            got = satisfies(value, rebuilt, doc.env)
-            assert got == want, (node, value)
+            assert got(value) == want(value), (node, value)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,8 @@ def test_meet_is_intersection_on_universe():
         left, right = (dnf_of(r, ctx).conjs for r in roots)
 
         def accepted(schema):
-            return [satisfies(v, schema, env) for v in values]
+            holds = compile_validator(schema, env)
+            return [holds(v) for v in values]
 
         @functools.cache
         def alone(c):
