@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import patterns as P
 from .model import (
@@ -205,17 +205,22 @@ D_FALSE = Dnf(())
 D_TRUE = Dnf((C_TRUE,))
 
 
-def any_dd(a: Dnf, b: Dnf) -> Dnf:
-    if a.is_false:
-        return b
-    if b.is_false:
-        return a
-    out = list(a.conjs)
-    seen = set(a.conjs)
-    for c in b.conjs:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
+def any_dd(ds: Sequence[Dnf]) -> Dnf:
+    """The union of disjunctions: the first live one as it is, then every
+    conjunction of the others not seen before, in order. One call per
+    union, not a fold of pairs, which would hash the prefix again per part."""
+    if len(ds) == 1:
+        return ds[0]
+    live = [d for d in ds if d.conjs]
+    if len(live) <= 1:
+        return live[0] if live else D_FALSE
+    out = list(live[0].conjs)
+    seen = set(out)
+    for d in live[1:]:
+        for c in d.conjs:
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
     return Dnf(tuple(out))
 
 

@@ -459,54 +459,44 @@ def iter_universe(params: UniverseParams) -> Iterator[Any]:
     strings = list(dict.fromkeys(params.strings))
     keys = sorted(set(params.keys))
     width = params.max_width
+    # one shape per array width and per selection of keys, arrays first
+    shapes: list[tuple[int, Any]] = [(k, None) for k in range(1, width + 1)]
+    shapes += [
+        (k, sel)
+        for k in range(1, min(width, len(keys)) + 1)
+        for sel in itertools.combinations(keys, k)
+    ]
 
-    emitted = 0
-
-    def emit(v: Any) -> Any:
-        nonlocal emitted
-        emitted += 1
-        if emitted > params.max_count:
-            raise UniverseTooLarge(
-                f"universe exceeds the {params.max_count}-value cap"
-            )
-        return v
-
-    scalars: list[Any] = [None, False, True, *numbers, *strings]
-    # empty containers carry no children, so they sit in the size-1 class
-    level_one: list[tuple[Any, int]] = [(v, 1) for v in scalars]
-    level_one.append(([], 1))
-    level_one.append(({}, 1))
-    for v, _ in level_one:
-        yield emit(v)
-
-    if params.max_depth < 2:
-        return
-
-    # geometric bound on the size of any value within depth/width limits
-    max_size = sum(width**d for d in range(params.max_depth))
-    buckets: dict[int, list[tuple[Any, int]]] = {1: level_one}
-
-    for size in range(2, max_size + 1):
-        bucket: list[tuple[Any, int]] = []
-        for k in range(1, width + 1):
+    def containers(size: int, pools: dict[int, list]) -> Iterator[Any]:
+        # the containers of one size whose children all come from pools
+        for k, sel in shapes:
             for comp in _compositions(size - 1, k):
-                pools = [buckets.get(c, []) for c in comp]
-                for combo in itertools.product(*pools):
-                    depth = 1 + max(d for _, d in combo)
-                    if depth <= params.max_depth:
-                        bucket.append(([v for v, _ in combo], depth))
-        for k in range(1, min(width, len(keys)) + 1):
-            for key_sel in itertools.combinations(keys, k):
-                for comp in _compositions(size - 1, k):
-                    pools = [buckets.get(c, []) for c in comp]
-                    for combo in itertools.product(*pools):
-                        depth = 1 + max(d for _, d in combo)
-                        if depth <= params.max_depth:
-                            obj = dict(zip(key_sel, (v for v, _ in combo)))
-                            bucket.append((obj, depth))
-        buckets[size] = bucket
-        for v, _ in bucket:
-            yield emit(v)
+                for combo in itertools.product(*(pools.get(c, ()) for c in comp)):
+                    yield list(combo) if sel is None else dict(zip(sel, combo))
+
+    # empty containers carry no children, so they sit in the size-1 class
+    level_one: list[Any] = [None, False, True, *numbers, *strings, [], {}]
+    # pools[s]: the values of size s shallow enough to be a child, that is
+    # of depth below max_depth; each level of them is built from the one
+    # below, so no combination is built and then rejected for its depth
+    pools: dict[int, list] = {1: level_one}
+    for depth in range(2, params.max_depth):
+        top = sum(width**d for d in range(depth))
+        pools = {1: level_one} | {s: list(containers(s, pools)) for s in range(2, top + 1)}
+
+    def values() -> Iterator[Any]:
+        yield from level_one
+        if params.max_depth < 2:
+            return
+        # geometric bound on the size of any value within depth/width limits
+        max_size = sum(width**d for d in range(params.max_depth))
+        for size in range(2, max_size + 1):
+            yield from containers(size, pools)
+
+    for count, v in enumerate(values(), 1):
+        if count > params.max_count:
+            raise UniverseTooLarge(f"universe exceeds the {params.max_count}-value cap")
+        yield v
 
 
 def oracle_included(

@@ -154,9 +154,7 @@ def all_ds(d: Dnf, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     ctx.tick()
     if d.is_false:
         return D_FALSE
-    out = D_FALSE
-    for c in d.conjs:
-        out = any_dd(out, all_cs(c, s, ctx, fast))
+    out = any_dd([all_cs(c, s, ctx, fast) for c in d.conjs])
     ctx.note_width(len(out.conjs))
     return out
 
@@ -171,13 +169,14 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     if isinstance(s, SNot):
         return all_cs(c, not_push(s.item, ctx.env), ctx, fast)
     if isinstance(s, SAnyOf):
-        out = D_FALSE
+        parts = []
         for item in s.items:
-            out = any_dd(out, all_cs(c, item, ctx, fast))
-            if fast and out.conjs:
+            parts.append(all_cs(c, item, ctx, fast))
+            if fast and parts[-1].conjs:
                 # fast callers only ask whether the result is false, and
                 # one live disjunct already settles that
-                return out
+                return parts[-1]
+        out = any_dd(parts)
         ctx.note_width(len(out.conjs))
         return out
     if isinstance(s, SAllOf):
@@ -219,11 +218,12 @@ def _conj_with_ref(c: Conj, ref: CRef, ctx: NormContext, fast: bool) -> Dnf:
         # body under normalization higher in the stack; unfold it inline
         return all_cs(c, ctx.env.cref_body(ref), ctx, fast)
     ctx.stats.memo_hits += 1
-    out = D_FALSE
+    parts = []
     for m in memo.conjs:
-        out = any_dd(out, meet(c, m, ctx))
-        if fast and out.conjs:
-            return out
+        parts.append(meet(c, m, ctx))
+        if fast and parts[-1].conjs:
+            return parts[-1]
+    out = any_dd(parts)
     ctx.note_width(len(out.conjs))
     return out
 
@@ -544,10 +544,7 @@ def _arg_ref(s: Schema) -> CRef:
 
 
 def _flat_map(d: Dnf, f) -> Dnf:
-    out = D_FALSE
-    for c in d.conjs:
-        out = any_dd(out, f(c))
-    return out
+    return any_dd([f(c) for c in d.conjs])
 
 
 def _sorted_contains(entries: Iterable[tuple[int, CRef]]) -> tuple[tuple[int, CRef], ...]:
@@ -619,30 +616,16 @@ def _insert_item_at(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf:
 def _insert_items_from(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf:
     if ca.max_items is not None and index >= ca.max_items:
         return Dnf((ca,))
-    n_a = len(ca.items)
-    if index <= n_a:
-        items = list(ca.items)
-        for i in range(index, n_a):
-            w = all_xx(items[i], x, ctx)
-            if w.has_clash:
-                return _flat_map(_cap_array(ca, i), lambda c: _insert_items_from(c, index, x, ctx))
-            items[i] = w
-        tail = all_xx(ca.tail, x, ctx)
-        if tail.has_clash:
-            return _cap_array(replace(ca, items=tuple(items)), n_a)
-        entries = []
-        for idx, ref in ca.contains:
-            w = all_xx(ref, x, ctx)
-            if w.has_clash:
-                return D_FALSE
-            entries.append((idx, w))
-        return Dnf((replace(ca, items=tuple(items), tail=tail,
-                            contains=_sorted_contains(entries)),))
-    # index > n_a: materialize slots up to the index, then re-host entries
-    items = ca.items + (ca.tail,) * (index - n_a)
+    # materialize tail slots up to the index; entries before it are re-hosted
+    items = list(ca.items + (ca.tail,) * (index - len(ca.items)))
+    for i in range(index, len(items)):
+        w = all_xx(items[i], x, ctx)
+        if w.has_clash:
+            return _flat_map(_cap_array(ca, i), lambda c: _insert_items_from(c, index, x, ctx))
+        items[i] = w
     tail = all_xx(ca.tail, x, ctx)
     if tail.has_clash:
-        return _cap_array(replace(ca, items=items), index)
+        return _cap_array(replace(ca, items=tuple(items)), len(items))
     keep: list[tuple[int, CRef]] = []
     pending: list[tuple[int, CRef]] = []
     for idx, ref in ca.contains:
@@ -653,7 +636,7 @@ def _insert_items_from(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf
             keep.append((idx, w))
         else:
             pending.append((idx, ref))
-    base = replace(ca, items=items, tail=tail, contains=_sorted_contains(keep))
+    base = replace(ca, items=tuple(items), tail=tail, contains=_sorted_contains(keep))
     return _relift(Dnf((base,)), pending, ctx)
 
 
@@ -673,7 +656,7 @@ def _insert_contains(ca: CArray, index: int, z: CRef, ctx: NormContext) -> Dnf:
         entries = _sorted_contains(ca.contains + ((index, w),))
         return Dnf((replace(ca, contains=entries),))
     # the obligation may be met by one of the fixed slots or past them
-    out = D_FALSE
+    parts: list[Dnf] = []
     for j in range(index, n_a):
         w = all_xx(ca.items[j], z, ctx)
         if w.has_clash:
@@ -681,8 +664,9 @@ def _insert_contains(ca: CArray, index: int, z: CRef, ctx: NormContext) -> Dnf:
         items = ca.items[:j] + (w,) + ca.items[j + 1 :]
         hosted = replace(ca, items=items, min_items=max(ca.min_items, j + 1))
         if hosted.max_items is None or hosted.min_items <= hosted.max_items:
-            out = any_dd(out, Dnf((hosted,)))
-    out = any_dd(out, _insert_contains(ca, n_a, z, ctx))
+            parts.append(Dnf((hosted,)))
+    parts.append(_insert_contains(ca, n_a, z, ctx))
+    out = any_dd(parts)
     ctx.note_width(len(out.conjs))
     return out
 

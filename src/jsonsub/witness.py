@@ -15,13 +15,21 @@ pattern admits, the maxProperties budget left, maxItems past the fixed
 slots), finest first, cuts blocks whose references clash as they form and
 ticks the step budget at every node. A blow-up therefore ends in
 BudgetExceeded, never in a guessed verdict, and field names come from the
-exact example search of the pattern layer.
+exact example search of the pattern layer. A grouping that waits on a set
+not solved yet does not stop the ones after it: the rounds may never solve
+that set.
 
-Distinctness (for arrays that must not repeat elements) is handled by a
-diversification pass that asks a reference set for several values, never
-by fabricating one. When the pass cannot produce enough values even
-though everything it depends on is solved, the run fails loudly instead
-of guessing a verdict.
+Array elements that must be distinct, or must repeat, are decided by the
+same fixpoint. Every value v gets a reference set bound to "equals v",
+whose twin is bound to the negation, so the members of a set come out one
+at a time: the next one is a value of the set minus those before it, a set
+that normalization refutes or the rounds solve like any other. A unique
+array of length L takes the first L members of each element's set and
+picks distinct ones by augmenting-path matching; by Hall's theorem L
+candidates per element are enough. An array that must repeat an element
+tries every pair of positions (the fixed slots, the containment blocks and
+two tail positions) for a common member of their two sets. Both searches
+end in an array or in a proof that none exists.
 
 Number search is exact. One walk per step visits its multiples inward
 from the tight interval edge to the other one, or 0, +k, -k, ... when
@@ -31,8 +39,7 @@ any other step each excluded factor rules out the k*step with k = 0
 modulo some m >= 2, so k = 1 modulo their lcm always escapes: a walk ends
 only at an interval edge, and a nonempty interval holds such a point at
 some step. A number disjunct without a value is therefore empty, and
-gen_budget_hits counts those. Scalars answer from the same value streams
-as diversification.
+gen_budget_hits counts those.
 """
 
 from __future__ import annotations
@@ -52,13 +59,31 @@ from .canon import (
     Conj,
     Dnf,
 )
-from .errors import UnsupportedFeature
-from .model import CREF_TRUE, CRef
+from .model import (
+    CREF_TRUE,
+    CRef,
+    RefName,
+    SConst,
+    SItemAt,
+    SMaxItems,
+    SMaxProps,
+    SMinItems,
+    SPattern,
+    SPatternReq,
+    SRefSingle,
+    SType,
+    s_all_of,
+    s_not,
+)
 from .norm import NormContext, all_xx, memo_dnf, refs_of_conj
 from .values import TYPE_NAMES, canonical_key
 
 UNSAT = object()
 _OPEN = object()
+
+# called without arguments, each gives the first value of its JSON type,
+# fresh so that no two witnesses share a container
+_FIRST_VALUE = dict(zip(TYPE_NAMES, (type(None), bool, Fraction, str, list, dict)))
 
 
 def generate(root: Dnf, ctx: NormContext):
@@ -70,7 +95,8 @@ class _Generator:
     def __init__(self, ctx: NormContext):
         self.ctx = ctx
         self.solved: dict[CRef, object] = {}
-        self._diversifying: set[CRef] = set()
+        # canonical key of a value -> the name bound to "equals the value"
+        self.eq_names: dict[object, RefName] = {}
 
     # -- reference resolution
 
@@ -130,14 +156,24 @@ class _Generator:
 
     def try_conj(self, c: Conj):
         self.ctx.tick()
-        got = self.conj_values(c, 1)
-        if got is _OPEN:
-            return _OPEN
-        if got:
-            return got[0]
+        if isinstance(c, CTypeSet):
+            return next((_FIRST_VALUE[t]() for t in TYPE_NAMES if t in c.types), UNSAT)
+        if isinstance(c, CBoolean):
+            return c.value
         if isinstance(c, CNumber):
-            self.ctx.stats.gen_budget_hits += 1
-        return UNSAT
+            got = gen_number(c)
+            if got is None:
+                self.ctx.stats.gen_budget_hits += 1
+                return UNSAT
+            return got
+        if isinstance(c, CString):
+            got = P.p_examples(c.pattern, 1)
+            return got[0] if got else UNSAT
+        if isinstance(c, CArray):
+            return self.try_array(c)
+        if isinstance(c, CObject):
+            return self.try_object(c)
+        raise AssertionError(f"unknown conjunction {c!r}")
 
     # -- grouping search
 
@@ -186,85 +222,147 @@ class _Generator:
         room = len(ca.contains)
         if ca.max_items is not None:
             room = min(room, ca.max_items - len(ca.items))
+        opened = False
         for blocks in self.groupings(CREF_TRUE, ca.contains, room):
-            got = self.place_blocks(ca, blocks)
-            if got is _OPEN:
-                return _OPEN
-            if got is UNSAT:
+            slots = self.element_sets(ca, blocks)
+            if slots is None:
                 continue
-            if ca.unique is False:
-                got = self.force_duplicate(ca, got)
-                if got is _OPEN:
-                    return _OPEN
-            return got
-        return UNSAT
+            if ca.unique is True:
+                got = self.distinct(slots)
+            elif ca.unique is False:
+                got = self.repeated(ca, slots)
+            else:
+                got = self.fill(slots, {})
+            if got is _OPEN:
+                opened = True
+            elif got is not UNSAT:
+                return got
+        return _OPEN if opened else UNSAT
 
-    def place_blocks(self, ca: CArray, blocks: list[tuple[int, CRef]]):
-        """One array for this partition of the containment obligations, each
-        block landing in a single element past the fixed slots."""
+    def element_sets(self, ca: CArray, blocks: list[tuple[int, CRef]]) -> Optional[list[CRef]]:
+        """The element sets of the shortest array for this partition of the
+        containment obligations, each block landing in a single element past
+        the fixed slots; None when that array exceeds maxItems."""
         next_free = len(ca.items)
-        placed: list[tuple[int, CRef]] = []
+        by_pos: dict[int, CRef] = {}
         for at, combined in sorted(blocks, key=lambda b: b[0]):
             pos = max(next_free, at)
-            placed.append((pos, combined))
+            by_pos[pos] = combined
             next_free = pos + 1
-        length = max(ca.min_items, placed[-1][0] + 1 if placed else 0)
+        length = max(ca.min_items, next_free if by_pos else 0)
         if ca.max_items is not None and length > ca.max_items:
-            return UNSAT
-        by_pos = dict(placed)
+            return None
+        return [by_pos[i] if i in by_pos else self.slot(ca, i) for i in range(length)]
+
+    @staticmethod
+    def slot(ca: CArray, i: int) -> CRef:
+        return ca.items[i] if i < len(ca.items) else ca.tail
+
+    def fill(self, slots: list[CRef], fixed: dict[int, object]):
+        """One value per element set, taking fixed[i] at position i, or the
+        first UNSAT/_OPEN met."""
         out: list = []
-        used: set = set()
-        for i in range(length):
-            ref = by_pos.get(i)
-            if ref is None:
-                ref = ca.items[i] if i < len(ca.items) else ca.tail
-            if ca.unique is True:
-                got = self.distinct_value(ref, used)
-            else:
-                got = self.lookup(ref)
-            if got is UNSAT:
-                return UNSAT
-            if got is _OPEN:
-                return _OPEN
-            used.add(canonical_key(got))
+        for i, ref in enumerate(slots):
+            got = fixed[i] if i in fixed else self.lookup(ref)
+            if got is UNSAT or got is _OPEN:
+                return got
             out.append(got)
         return out
 
-    def force_duplicate(self, ca: CArray, arr: list):
-        keys = [canonical_key(v) for v in arr]
-        if len(set(keys)) != len(keys):
-            return arr
-        base = len(arr)
-        if ca.max_items is not None and base + 2 > ca.max_items:
-            raise UnsupportedFeature(
-                "array witness needs a duplicate pair but length bounds leave no room"
-            )
+    def distinct(self, slots: list[CRef]):
+        """Pairwise distinct values, one per element set, or UNSAT/_OPEN."""
+        found = {ref: self.members(ref, len(slots)) for ref in dict.fromkeys(slots)}
+        picked = _match([found[ref][0] for ref in slots])
+        if picked is not None:
+            return picked
+        # a set cut short may still hold the member the matching lacks
+        return _OPEN if any(cut for _, cut in found.values()) else UNSAT
 
-        def slot(i: int) -> CRef:
-            return ca.items[i] if i < len(ca.items) else ca.tail
+    def repeated(self, ca: CArray, slots: list[CRef]):
+        """An array with two equal elements, or UNSAT/_OPEN. The pair takes
+        a common member of two positions' sets: fixed slots, containment
+        blocks, or tail positions, of which two are enough; the array grows
+        past the shortest one only as far as the pair needs."""
+        end = max(len(slots), len(ca.items)) + 2
+        if ca.max_items is not None:
+            end = min(end, ca.max_items)
+        sets = slots + [self.slot(ca, i) for i in range(len(slots), end)]
+        # the first two positions of each set stand for all of its positions
+        picks: list[int] = []
+        for p, ref in enumerate(sets):
+            if sum(sets[q] == ref for q in picks) < 2:
+                picks.append(p)
+        tried: set[frozenset] = set()
+        opened = False
+        for b, j in enumerate(picks):
+            for i in picks[:b]:
+                pair = frozenset((sets[i], sets[j]))
+                if pair in tried:
+                    continue
+                tried.add(pair)
+                got = self.lookup(all_xx(sets[i], sets[j], self.ctx))
+                if got is not UNSAT and got is not _OPEN:
+                    got = self.fill(sets[: max(len(slots), j + 1)], {i: got, j: got})
+                if got is _OPEN:
+                    opened = True
+                elif got is not UNSAT:
+                    return got
+        return _OPEN if opened else UNSAT
 
-        combined = all_xx(slot(base), slot(base + 1), self.ctx)
-        got = self.lookup(combined)
-        if got is UNSAT:
-            raise UnsupportedFeature(
-                "array witness needs a duplicate pair but the next two positions "
-                "admit no common value"
-            )
-        if got is _OPEN:
-            return _OPEN
-        return arr + [got, got]
+    # -- distinct members of a reference set
+
+    def members(self, ref: CRef, k: int) -> tuple[list, bool]:
+        """The first k distinct values of ref, and whether the list was cut
+        short by a set not solved yet (rather than by an empty one)."""
+        out: list = []
+        while len(out) < k:
+            got = self.lookup(ref)
+            if got is _OPEN:
+                return out, True
+            if got is UNSAT:
+                break
+            out.append(got)
+            ref = all_xx(ref, CRef((self.eq_name(got).negate(),)), self.ctx)
+        return out, False
+
+    def eq_name(self, v) -> RefName:
+        """The name bound to "equals v" (its twin to the negation), made on
+        first use under the reserved #~ prefix that no $ref can produce."""
+        key = canonical_key(v)
+        name = self.eq_names.get(key)
+        if name is not None:
+            return name
+        if isinstance(v, list):
+            body = s_all_of((SType("array"), SMinItems(len(v)), SMaxItems(len(v)), *(
+                SItemAt(i, SRefSingle(self.eq_name(x))) for i, x in enumerate(v))))
+        elif isinstance(v, dict):
+            body = s_all_of((SType("object"), SMaxProps(len(v)), *(
+                SPatternReq(P.key(k), SRefSingle(self.eq_name(x))) for k, x in v.items())))
+        elif isinstance(v, str):
+            body = s_all_of((SType("string"), SPattern(P.key(v))))
+        else:
+            body = SType("null") if v is None else SConst(v if isinstance(v, bool) else Fraction(v))
+        env = self.ctx.env
+        n = len(self.eq_names)
+        while (name := RefName(f"#~eq{n}")) in env.bindings:
+            n += 1
+        env.bind(name, body)
+        env.bind(name.negate(), s_not(body))
+        self.eq_names[key] = name
+        return name
 
     # -- objects
 
     def try_object(self, co: CObject):
         names = [P.p_examples(f.pattern, len(f.reqs)) if f.reqs else [] for f in co.fragments]
+        opened = False
         for plan in self.object_plans(co, names, 0, 0):
             got = self.fill_object(co, names, plan)
             if got is _OPEN:
-                return _OPEN
-            if got is not UNSAT:
+                opened = True
+            elif got is not UNSAT:
                 return got
-        return UNSAT
+        return _OPEN if opened else UNSAT
 
     def object_plans(self, co: CObject, names: list[list[str]], i: int, used: int):
         """Groupings of fragments i.. under the field budget left after used
@@ -316,139 +414,34 @@ class _Generator:
                     break
         return True if needed <= 0 else UNSAT
 
-    # -- diversification (distinct-element obligations)
 
-    def distinct_value(self, ref: CRef, used: set):
-        """A value of ref whose canonical key avoids used, or UNSAT/_OPEN.
-
-        Raises when every value the diversifier can reach collides even
-        though the reference set is solved: answering unsatisfiable there
-        would be a guess.
-        """
-        vals = self.values_for(ref, len(used) + 1)
-        if vals is UNSAT or vals is _OPEN:
-            return vals
-        for v in vals:
-            if canonical_key(v) not in used:
-                return v
-        raise UnsupportedFeature(
-            "array witness needs more distinct elements than the diversifier "
-            "can produce"
-        )
-
-    def values_for(self, ref: CRef, want: int):
-        """Up to want distinct values of ref, or UNSAT/_OPEN."""
-        first = self.lookup(ref)
-        if first is UNSAT or first is _OPEN:
-            return first
-        if want <= 1 or ref in self._diversifying:
-            return [first]
-        self._diversifying.add(ref)
-        try:
-            out = [first]
-            keys = {canonical_key(first)}
-            for c in memo_dnf(ref, self.ctx).conjs:
-                if len(out) >= want:
+def _match(candidates: list[list]) -> Optional[list]:
+    """One value per position, from its candidates and pairwise distinct, or
+    None. Each position in turn takes a free value along an augmenting path
+    found breadth first."""
+    owner: dict = {}  # canonical key -> (position, value) holding it
+    for start in range(len(candidates)):
+        via: dict = {start: None}  # position -> (position, value) reaching it
+        queue, free = [start], None
+        for i in queue:
+            for v in candidates[i]:
+                held = owner.get(canonical_key(v))
+                if held is None:
+                    free = (i, v)
                     break
-                more = self.conj_values(c, want - len(out) + len(keys))
-                if more is _OPEN:
-                    return _OPEN
-                for v in more:
-                    k = canonical_key(v)
-                    if k not in keys:
-                        keys.add(k)
-                        out.append(v)
-                        if len(out) >= want:
-                            break
-            return out
-        finally:
-            self._diversifying.discard(ref)
-
-    def conj_values(self, c: Conj, want: int):
-        """Up to want values of one conjunction (list, possibly short), or
-        _OPEN when blocked on unsolved references."""
-        if isinstance(c, CTypeSet):
-            streams = [_plain_values(t) for t in TYPE_NAMES if t in c.types]
-            merged = itertools.chain.from_iterable(
-                itertools.islice(s, want) for s in streams
-            )
-            return list(itertools.islice(merged, want))
-        if isinstance(c, CBoolean):
-            return [c.value]
-        if isinstance(c, CNumber):
-            return list(itertools.islice(_number_candidates(c), want))
-        if isinstance(c, CString):
-            return P.p_examples(c.pattern, want)
-        if isinstance(c, CArray):
-            return self.array_values(c, want)
-        if isinstance(c, CObject):
-            return self.object_values(c, want)
-        raise AssertionError(f"unknown conjunction {c!r}")
-
-    def array_values(self, ca: CArray, want: int):
-        base = self.try_array(ca)
-        if base is _OPEN:
-            return _OPEN
-        if base is UNSAT:
-            return []
-        out = [base]
-        cur = base
-        while len(out) < want:
-            if ca.max_items is not None and len(cur) + 1 > ca.max_items:
+                if held[0] not in via:
+                    via[held[0]] = (i, v)
+                    queue.append(held[0])
+            if free:
                 break
-            ref = ca.items[len(cur)] if len(cur) < len(ca.items) else ca.tail
-            if ca.unique is True:
-                used = {canonical_key(v) for v in cur}
-                try:
-                    got = self.distinct_value(ref, used)
-                except UnsupportedFeature:
-                    break
-            else:
-                got = self.lookup(ref)
-            if got is _OPEN:
-                return _OPEN
-            if got is UNSAT:
-                break
-            cur = cur + [got]
-            out.append(cur)
-        return out
-
-    def object_values(self, co: CObject, want: int):
-        """The witness object and up to want - 1 growths of it, one field
-        more each."""
-        base = self.try_object(co)
-        if base is _OPEN:
-            return _OPEN
-        if base is UNSAT:
-            return []
-        size = len(base) + want - 1
-        if co.max_props is not None:
-            size = min(size, co.max_props)
-        grown = dict(base)
-        if self.pad_object(co, grown, size) is _OPEN:
-            return _OPEN
-        items = list(grown.items())
-        return [dict(items[:n]) for n in range(len(base), len(grown) + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Plain values per type, unbounded streams for diversification
-
-
-def _plain_values(type_name: str) -> Iterator:
-    if type_name == "null":
-        return iter([None])
-    if type_name == "boolean":
-        return iter([False, True])
-    if type_name == "number":
-        return (Fraction(k) for n in itertools.count() for k in ((n,) if n == 0 else (n, -n)))
-    if type_name == "string":
-        return itertools.chain([""], (str(n) for n in itertools.count()))
-    if type_name == "array":
-        return ([None] * n for n in itertools.count())
-    if type_name == "object":
-        return ({f"_{i}": None for i in range(n)} for n in itertools.count())
-    raise AssertionError(type_name)
+        if free is None:
+            return None
+        # each position on the path takes the value it reached the next one by
+        while free:
+            owner[canonical_key(free[1])] = free
+            free = via[free[0]]
+    chosen = dict(owner.values())
+    return [chosen[i] for i in range(len(candidates))]
 
 
 # ---------------------------------------------------------------------------
@@ -456,28 +449,21 @@ def _plain_values(type_name: str) -> Iterator:
 
 
 def gen_number(c: CNumber) -> Optional[Fraction]:
-    return next(_number_candidates(c), None)
-
-
-def _number_candidates(c: CNumber) -> Iterator[Fraction]:
     lo, hi = c.lo, c.hi
     if lo is not None and hi is not None:
         if lo > hi or (lo == hi and (c.lo_strict or c.hi_strict)):
-            return
+            return None
         if lo == hi:
-            if _respects(lo, c):
-                yield lo
-            return
+            return lo if _respects(lo, c) else None
     steps = [c.factor] if c.factor is not None else (Fraction(1, 10**s) for s in itertools.count())
-    seen: set[Fraction] = set()
     for step in steps:
         # every multiple of a step that an excluded factor divides is excluded
         if any((step / ex).denominator == 1 for ex in c.excluded):
             continue
-        for cand in _walk(c, step):
-            if cand not in seen:
-                seen.add(cand)
-                yield cand
+        got = next(_walk(c, step), None)
+        if got is not None:
+            return got
+    return None
 
 
 def _bound_ok_low(q: Fraction, c: CNumber) -> bool:

@@ -1,5 +1,6 @@
 """Evaluator anchors, inclusion verdicts, the brute-force oracle, and errors."""
 
+import hashlib
 import json
 import random
 from decimal import Decimal
@@ -23,9 +24,9 @@ from jsonsub.engine import (
 )
 from jsonsub.errors import BudgetExceeded, MalformedSchema, UniverseTooLarge
 from jsonsub.model import Env
-from jsonsub.values import dump_json, parse_json
+from jsonsub.values import canonical_key, dump_json, parse_json
 
-from _family import gen_pair
+from _family import gen_pair, gen_schema, universe_for
 
 
 def exact(node):
@@ -252,6 +253,18 @@ def test_guarded_self_reference_reflexive():
 # refuted inclusions that once answered included (or crashed); each pair
 # is checked through the engine and through jsonschema's Draft-06 validator
 
+# three requirements: "string or endless", "number or endless", "string";
+# no finite value is endless, so grouping the first two leaves a set the
+# fixpoint never solves, while ["", 0] groups the first with the third
+ENDLESS = {"type": "object", "required": ["n"], "properties": {"n": {"$ref": "#/definitions/e"}}}
+ENDLESS_OR = [
+    {"anyOf": [{"type": "string"}, {"$ref": "#/definitions/e"}]},
+    {"anyOf": [{"type": "number"}, {"$ref": "#/definitions/e"}]},
+    {"type": "string"},
+]
+
+UNIQUE_12 = {"type": "array", "uniqueItems": True, "items": {"enum": [1, 2]}}
+
 SIX = [
     {"type": "number", "minimum": 0},
     {"type": "number", "maximum": 10},
@@ -319,6 +332,32 @@ REFUTED = {
     ),
     # the shortest member lies past every shorter dead prefix
     "long forced prefix": ('{"type":"string","pattern":"a{20}"}', "false"),
+    # a grouping blocked on a set the fixpoint never solves must not hide a
+    # later grouping that works: ["", 0] and {"": "", "\u0000": 0}
+    "containment grouping past an endless one": (
+        json.dumps({"type": "array", "maxItems": 2, "definitions": {"e": ENDLESS},
+                    "allOf": [{"contains": y} for y in ENDLESS_OR]}),
+        "false",
+    ),
+    "field grouping past an endless one": (
+        json.dumps({"type": "object", "maxProperties": 2, "definitions": {"e": ENDLESS}, "allOf": [
+            {"not": {"additionalProperties": {"not": y}}} for y in ENDLESS_OR]}),
+        "false",
+    ),
+    # a repeated pair may sit past the fixed slots: [0, "", 0]
+    "tuple with a free tail repeats": (
+        '{"type":"array","items":[{"type":"integer"},{"type":"string"}]}',
+        '{"uniqueItems":true}',
+    ),
+    "repeat across a string slot": (
+        '{"items":[{"type":"integer"},{"type":"string"},{"type":"integer"}],"additionalItems":false}',
+        '{"uniqueItems":true}',
+    ),
+    # five distinct unique arrays over {1, 2}: [], [1], [2], [1,2], [2,1]
+    "five unique arrays over two values": (
+        json.dumps({"type": "array", "uniqueItems": True, "minItems": 5, "items": UNIQUE_12}),
+        "false",
+    ),
 }
 
 
@@ -327,8 +366,8 @@ def test_refuted_pair_has_a_checked_witness(name):
     assert_checked_witness(*REFUTED[name])
 
 
-# unique arrays of objects and arrays: the diversifier grows each element
-# by one field or one item to keep it distinct from the others
+# unique arrays of objects and arrays: each element's set yields its
+# members one by one, each a value of the set minus the ones before it
 UNIQUE_ITEMS = {
     "plain objects": {"type": "object"},
     "objects of integers >= 3": {
@@ -336,6 +375,14 @@ UNIQUE_ITEMS = {
         "additionalProperties": {"type": "integer", "minimum": 3},
     },
     "nonempty number arrays": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+    "objects of two or three fields": {"type": "object", "minProperties": 2, "maxProperties": 3},
+    "objects of strings at a and b": {
+        "type": "object",
+        "patternProperties": {"^[ab]$": {"type": "string"}},
+        "additionalProperties": False,
+        "minProperties": 1,
+    },
+    "unique arrays over 1, 2, 3": {"type": "array", "uniqueItems": True, "items": {"enum": [1, 2, 3]}},
 }
 
 
@@ -344,6 +391,62 @@ def test_unique_arrays_of_containers_have_checked_witnesses(name):
     for n in range(2, 10):
         left = {"type": "array", "uniqueItems": True, "minItems": n, "items": UNIQUE_ITEMS[name]}
         assert_checked_witness(json.dumps(left), "false")
+
+
+# inclusions that hold because no array is long enough to repeat an
+# element, two elements can never be equal, or the items run out of values
+NO_ROOM = {
+    "no items": ({"items": False}, {"uniqueItems": True}),
+    "one item at most": ({"items": [True, False]}, {"uniqueItems": True}),
+    "integer then string": (
+        {"type": "array", "items": [{"type": "integer"}, {"type": "string"}],
+         "additionalItems": False},
+        {"uniqueItems": True},
+    ),
+    "six unique arrays over two values": (
+        {"type": "array", "uniqueItems": True, "minItems": 6, "items": UNIQUE_12},
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_ROOM))
+def test_arrays_without_room_are_included(name):
+    left, right = NO_ROOM[name]
+    assert check_inclusion(exact(left), exact(right)).included
+
+
+def test_distinct_elements_are_matched_to_positions():
+    # the first slot's first member is 1, which the second slot needs
+    left = {"type": "array", "items": [{"enum": [1, 2]}, {"const": 1}],
+            "minItems": 2, "uniqueItems": True}
+    res = check_inclusion(exact(left), False)
+    assert res.witness == [2, 1]
+
+
+def test_unique_arrays_exist_where_the_universe_holds_enough_values():
+    # k distinct values of S in the bounded universe make a unique array of
+    # exactly k items of S satisfiable
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(120):
+        schema = exact(gen_schema(rng))
+        doc = load_document(schema)
+        holds = compile_validator(doc.root, doc.env)
+        seen = set()
+        for v in iter_universe(universe_for([doc])):
+            if holds(v):
+                seen.add(canonical_key(v))
+                if len(seen) == 4:
+                    break
+        for k in range(1, len(seen) + 1):
+            left = {"type": "array", "uniqueItems": True, "minItems": k, "maxItems": k,
+                    "items": schema}
+            res = check_inclusion(left, False)
+            assert not res.included, (k, schema)
+            assert satisfies_value(res.witness, left)
+            checked += 1
+    assert checked > 300
 
 
 def assert_checked_witness(left: str, right: str) -> None:
@@ -398,6 +501,33 @@ def test_universe_depth_limit():
     for v in iter_universe(params):
         if isinstance(v, list):
             assert all(not isinstance(x, (list, dict)) or not x for x in v)
+
+
+# one sha256 over a dump_json line per value, recorded while iter_universe
+# still built every combination and dropped the ones too deep
+UNIVERSE_PINS = [
+    (
+        UniverseParams(max_depth=2, max_width=3, keys=("a", "b", "c"), strings=("", "a", "b", "ab"),
+                       numbers=(Fraction(0), Fraction(1), Fraction(2))),
+        4092,
+        "a340e44f77cbb80e7a29d83add21740ab9ba9a30d320f3ebc09c022cfe220960",
+    ),
+    (
+        UniverseParams(max_depth=3, max_width=2),
+        115_930,
+        "172832be1c007fadf21db4581c9cd710bc8a3d19e31fe1a2f0e438201f011053",
+    ),
+]
+
+
+@pytest.mark.parametrize("params, count, digest", UNIVERSE_PINS, ids=("depth2-width3", "depth3-width2"))
+def test_universe_sequence_is_pinned(params, count, digest):
+    h = hashlib.sha256()
+    values = list(iter_universe(params))
+    for v in values:
+        h.update(dump_json(v, indent=None).encode() + b"\n")
+    assert len(values) == count
+    assert h.hexdigest() == digest
 
 
 def test_universe_cap():

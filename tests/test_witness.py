@@ -5,7 +5,6 @@ divisibility, exclusions) rather than against a remembered constant, so
 the assertions stay valid under any correct candidate ordering.
 """
 
-import itertools
 import json
 import math
 import random
@@ -14,7 +13,7 @@ from fractions import Fraction
 from jsonsub.canon import CNumber
 from jsonsub.engine import check_inclusion, satisfies_value
 from jsonsub.values import parse_json
-from jsonsub.witness import _number_candidates, gen_number
+from jsonsub.witness import gen_number
 
 
 def exact(node):
@@ -138,9 +137,6 @@ def test_gen_number_agrees_with_enumeration():
         got = gen_number(c)
         assert (got is not None) == _brute_force_exists(c), c
         assert got is None or _respects(got, c), (c, got)
-        first = list(itertools.islice(_number_candidates(c), 5))
-        assert len(set(first)) == len(first), (c, first)
-        assert all(_respects(q, c) for q in first), (c, first)
 
 
 # ---------------------------------------------------------------------------
