@@ -412,7 +412,6 @@ class _Stratifier:
             if name not in self.env.bindings:
                 break
         self.env.bind(name, body)
-        self.env.bind(name.negate(), s_not(body))
         self.by_body[body] = name
         return name
 

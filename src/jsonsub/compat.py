@@ -101,6 +101,12 @@ def parse_schema(node: Any, uri_prefix: str = "") -> Document:
     """Translate a parsed Draft-06 JSON value into a schema document."""
     parser = _Parser(node, uri_prefix)
     root = parser.schema(node)
+    # targets are parsed after the root, in the order met (the list grows as
+    # it is read), so a $ref chain nests no calls; binding in reverse keeps
+    # the order of a parse that descended into each target where met
+    bodies = [(name, parser.schema(target)) for name, target in parser.pending]
+    for name, body in reversed(bodies):
+        parser.env.bind(name, body)
     return Document(root, parser.env)
 
 
@@ -110,6 +116,8 @@ class _Parser:
         self.uri_prefix = uri_prefix
         self.env = Env()
         self.started: set[str] = set()
+        # (name, target node) of every $ref target met, not parsed yet
+        self.pending: list[tuple[RefName, Any]] = []
 
     # -- reference handling
 
@@ -121,8 +129,7 @@ class _Parser:
         name = RefName(uri)
         if uri not in self.started:
             self.started.add(uri)
-            target = self.resolve_pointer(pointer, ref)
-            self.env.bind(name, self.schema(target))
+            self.pending.append((name, self.resolve_pointer(pointer, ref)))
         return name
 
     def resolve_pointer(self, pointer: str, original: str) -> Any:

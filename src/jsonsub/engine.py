@@ -63,7 +63,6 @@ from .model import (
     SUniqueItems,
     Schema,
     child_schemas,
-    not_complete,
     s_all_of,
     s_not,
     well_formed,
@@ -330,7 +329,6 @@ def check_inclusion_terms(
 
     doc = expand_oneof_doc(doc)
     doc = stratify(doc)
-    not_complete(doc.env)
 
     ctx = NormContext(doc.env, max_steps=max_steps, timeout=timeout)
     start = time.monotonic()

@@ -4,7 +4,8 @@ Terms are immutable. Structural operators (property, required-field,
 item, tail, containment) are vacuously satisfied by values of any other
 type; type assertions and bounds carry the actual type commitments.
 Smart constructors keep boolean combinations flat and collapse double
-negation, which the environment's negative-twin invariant relies on.
+negation. The environment binds positive names; a negated name reads the
+negation of its twin's body, derived on each read and never stored.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ class RefName:
 class CRef:
     """A set of signed reference names, read as the conjunction of their bodies."""
 
-    __slots__ = ("members", "_hash")
+    __slots__ = ("members", "_hash", "has_clash")
 
     def __init__(self, members: Iterable[RefName] = ()):
-        object.__setattr__(self, "members", frozenset(members))
-        object.__setattr__(self, "_hash", hash(self.members))
+        members = frozenset(members)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_hash", hash(members))
+        # a name and its negation share a uri; read far more often than built
+        object.__setattr__(self, "has_clash", len({m.uri for m in members}) < len(members))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CRef) and self.members == other.members
@@ -64,10 +68,6 @@ class CRef:
         if not self.members:
             return other
         return CRef(self.members | other.members)
-
-    @property
-    def has_clash(self) -> bool:
-        return any(m.negate() in self.members for m in self.members)
 
     @property
     def is_empty(self) -> bool:
@@ -399,10 +399,13 @@ class Env:
         self.bindings[name] = body
 
     def body(self, name: RefName) -> Schema:
-        try:
+        """The body bound to name; an unbound negated name reads the
+        negation of its twin's body, built per read and never bound."""
+        if name in self.bindings:
             return self.bindings[name]
-        except KeyError:
-            raise UnresolvableRef(f"unbound reference {name}") from None
+        if name.negated and (twin := name.negate()) in self.bindings:
+            return s_not(self.bindings[twin])
+        raise UnresolvableRef(f"unbound reference {name}")
 
     def cref_body(self, ref: CRef) -> Schema:
         if len(ref.members) == 1:
@@ -414,7 +417,6 @@ class Env:
         bound on first use."""
         if FALSE_NAME not in self.bindings:
             self.bind(FALSE_NAME, FALSE)
-            self.bind(FALSE_NAME.negate(), TRUE)
         return FALSE_REF
 
 
@@ -426,14 +428,6 @@ def SRefSingle(name: RefName) -> SRef:
 class Document:
     root: Schema
     env: Env
-
-
-def not_complete(env: Env) -> None:
-    """Ensure every bound name has its negative twin bound to the negated body."""
-    for name in list(env.bindings):
-        twin = name.negate()
-        if twin not in env.bindings:
-            env.bind(twin, s_not(env.bindings[name]))
 
 
 def well_formed(doc: Document) -> list[str]:
@@ -455,24 +449,24 @@ def well_formed(doc: Document) -> list[str]:
             queue.append(base)
 
     # unguarded-edge graph over positive uris; an edge is unguarded when any
-    # occurrence of the target sits under boolean operators only
+    # occurrence of the target sits under boolean operators only; a negated
+    # body has the same references under the same guards as its twin's
     edges: dict[str, set[str]] = {}
     while queue:
         base = queue.pop()
-        for body_name in (base, base.negate()):
-            body = doc.env.bindings.get(body_name)
-            if body is None:
+        body = doc.env.bindings.get(base)
+        if body is None:
+            continue
+        for ref, guarded in iter_refs(body):
+            tgt = positive(ref)
+            if ref not in known and tgt not in known:
+                diags.append(f"unbound reference {ref} in body of {base}")
                 continue
-            for ref, guarded in iter_refs(body):
-                tgt = positive(ref)
-                if ref not in known and tgt not in known:
-                    diags.append(f"unbound reference {ref} in body of {body_name}")
-                    continue
-                if not guarded:
-                    edges.setdefault(base.uri, set()).add(tgt.uri)
-                if tgt not in seen:
-                    seen.add(tgt)
-                    queue.append(tgt)
+            if not guarded:
+                edges.setdefault(base.uri, set()).add(tgt.uri)
+            if tgt not in seen:
+                seen.add(tgt)
+                queue.append(tgt)
 
     cycle = _find_cycle(edges)
     if cycle:
@@ -481,29 +475,24 @@ def well_formed(doc: Document) -> list[str]:
 
 
 def _find_cycle(edges: dict[str, set[str]]) -> Optional[list[str]]:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def visit(u: str) -> Optional[list[str]]:
-        color[u] = GRAY
-        stack_path.append(u)
-        for v in sorted(edges.get(u, ())):
-            c = color.get(v, WHITE)
-            if c == GRAY:
-                i = stack_path.index(v)
-                return stack_path[i:] + [v]
-            if c == WHITE:
-                found = visit(v)
-                if found:
-                    return found
-        stack_path.pop()
-        color[u] = BLACK
-        return None
-
-    for u in sorted(edges):
-        if color.get(u, WHITE) == WHITE:
-            found = visit(u)
-            if found:
-                return found
+    """The first cycle of a depth-first walk in sorted order, kept on an
+    explicit stack so that a long chain nests no calls."""
+    color: dict[str, int] = {}  # 1 while on the path, 2 once left
+    for root in sorted(edges):
+        if root in color:
+            continue
+        color[root] = 1
+        path, todo = [root], [iter(sorted(edges[root]))]
+        while todo:
+            for v in todo[-1]:
+                if color.get(v) == 1:
+                    return path[path.index(v):] + [v]
+                if v not in color:
+                    color[v] = 1
+                    path.append(v)
+                    todo.append(iter(sorted(edges.get(v, ()))))
+                    break
+            else:
+                todo.pop()
+                color[path.pop()] = 2
     return None

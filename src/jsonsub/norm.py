@@ -2,10 +2,11 @@
 
 The entry point folds a schema term into a disjunction of canonical
 conjunctions, working lazily: a conjunction of terms is refuted as soon
-as any prefix of the fold collapses to the empty disjunction, and a
-cheap fast-fail pass over the remaining conjuncts runs first so that
-contradictions anywhere in an allOf are found without paying for full
-normalization of the terms before them.
+as any prefix of the fold collapses to the empty disjunction. A cheap
+refutational pass, fast_check, first meets the conjunction with each
+conjunct alone, so that a contradiction anywhere in an allOf is found
+before the terms ahead of it are normalized; it answers with the empty
+disjunction or with the conjunction it was given.
 
 Two canonical conjunctions are intersected by one routine, meet. A type,
 constant, number or string operator enters as its own canonical
@@ -114,22 +115,17 @@ class Stats:
 IN_PROGRESS = object()
 
 
-class FastFail(Exception):
-    """Internal: the cheap pass could not refute the conjunction."""
-
-
 class NormContext:
     def __init__(
         self,
         env: Env,
         max_steps: int = DEFAULT_MAX_STEPS,
         timeout: float = DEFAULT_TIMEOUT,
-        stats: Optional[Stats] = None,
     ):
         self.env = env
         # reference set -> its body's disjunction, or IN_PROGRESS
         self.memo: dict[CRef, object] = {}
-        self.stats = stats or Stats()
+        self.stats = Stats()
         self.max_steps = max_steps
         self.deadline = time.monotonic() + timeout
 
@@ -150,11 +146,11 @@ def dnf_of(s: Schema, ctx: NormContext) -> Dnf:
     return all_ds(D_TRUE, s, ctx)
 
 
-def all_ds(d: Dnf, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
+def all_ds(d: Dnf, s: Schema, ctx: NormContext) -> Dnf:
     ctx.tick()
     if d.is_false:
         return D_FALSE
-    out = any_dd([all_cs(c, s, ctx, fast) for c in d.conjs])
+    out = any_dd([all_cs(c, s, ctx) for c in d.conjs])
     ctx.note_width(len(out.conjs))
     return out
 
@@ -180,12 +176,9 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
         ctx.note_width(len(out.conjs))
         return out
     if isinstance(s, SAllOf):
-        if fast:
-            return fast_check(c, s.items, ctx)
-        try:
-            return fast_check(c, s.items, ctx)
-        except FastFail:
-            pass
+        d = fast_check(c, s.items, ctx)
+        if fast or d.is_false:
+            return d
         d = all_cs(c, s.items[0], ctx)
         for item in s.items[1:]:
             d = all_ds(d, item, ctx)
@@ -194,18 +187,16 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
 
 
 def fast_check(c: Conj, items: tuple[Schema, ...], ctx: NormContext) -> Dnf:
-    """Try to refute c against any single conjunct cheaply. Returns the
-    empty disjunction on success, raises FastFail when nothing refutes."""
+    """Try to refute c against each conjunct alone, cheaply: the empty
+    disjunction when one of them refutes it, else c as its one disjunct.
+    A fast pass reads no more of a result than whether it is false."""
     ctx.tick()
     for item in items:
-        try:
-            if all_cs(c, item, ctx, fast=True).is_false:
-                ctx.stats.fast_path_hits += 1
-                return D_FALSE
-        except FastFail:
-            continue
+        if all_cs(c, item, ctx, fast=True).is_false:
+            ctx.stats.fast_path_hits += 1
+            return D_FALSE
     ctx.stats.fast_path_misses += 1
-    raise FastFail()
+    return Dnf((c,))
 
 
 def _conj_with_ref(c: Conj, ref: CRef, ctx: NormContext, fast: bool) -> Dnf:

@@ -21,15 +21,15 @@ that set.
 
 Array elements that must be distinct, or must repeat, are decided by the
 same fixpoint. Every value v gets a reference set bound to "equals v",
-whose twin is bound to the negation, so the members of a set come out one
-at a time: the next one is a value of the set minus those before it, a set
-that normalization refutes or the rounds solve like any other. A unique
-array of length L takes the first L members of each element's set and
-picks distinct ones by augmenting-path matching; by Hall's theorem L
-candidates per element are enough. An array that must repeat an element
-tries every pair of positions (the fixed slots, the containment blocks and
-two tail positions) for a common member of their two sets. Both searches
-end in an array or in a proof that none exists.
+whose negated twin reads as "differs from v", so the members of a set
+come out one at a time: the next one is a value of the set minus those
+before it, a set that normalization refutes or the rounds solve like any
+other. A unique array of length L takes the first L members of each
+element's set and picks distinct ones by augmenting-path matching; by
+Hall's theorem L candidates per element are enough. An array that must
+repeat an element tries every pair of positions (the fixed slots, the
+containment blocks and two tail positions) for a common member of their
+two sets. Both searches end in an array or in a proof that none exists.
 
 Number search is exact. One walk per step visits its multiples inward
 from the tight interval edge to the other one, or 0, +k, -k, ... when
@@ -73,7 +73,6 @@ from .model import (
     SRefSingle,
     SType,
     s_all_of,
-    s_not,
 )
 from .norm import NormContext, all_xx, memo_dnf, refs_of_conj
 from .values import TYPE_NAMES, canonical_key
@@ -222,22 +221,16 @@ class _Generator:
         room = len(ca.contains)
         if ca.max_items is not None:
             room = min(room, ca.max_items - len(ca.items))
-        opened = False
-        for blocks in self.groupings(CREF_TRUE, ca.contains, room):
-            slots = self.element_sets(ca, blocks)
-            if slots is None:
-                continue
-            if ca.unique is True:
-                got = self.distinct(slots)
-            elif ca.unique is False:
-                got = self.repeated(ca, slots)
-            else:
-                got = self.fill(slots, {})
-            if got is _OPEN:
-                opened = True
-            elif got is not UNSAT:
-                return got
-        return _OPEN if opened else UNSAT
+        groupings = self.groupings(CREF_TRUE, ca.contains, room)
+        sets = (self.element_sets(ca, blocks) for blocks in groupings)
+        return _first(self.fill_array(ca, slots) for slots in sets if slots is not None)
+
+    def fill_array(self, ca: CArray, slots: list[CRef]):
+        if ca.unique is True:
+            return self.distinct(slots)
+        if ca.unique is False:
+            return self.repeated(ca, slots)
+        return self.fill(slots, {})
 
     def element_sets(self, ca: CArray, blocks: list[tuple[int, CRef]]) -> Optional[list[CRef]]:
         """The element sets of the shortest array for this partition of the
@@ -292,22 +285,20 @@ class _Generator:
         for p, ref in enumerate(sets):
             if sum(sets[q] == ref for q in picks) < 2:
                 picks.append(p)
-        tried: set[frozenset] = set()
-        opened = False
+        # the first pair of positions per pair of sets
+        pairs: dict[frozenset, tuple[int, int]] = {}
         for b, j in enumerate(picks):
             for i in picks[:b]:
-                pair = frozenset((sets[i], sets[j]))
-                if pair in tried:
-                    continue
-                tried.add(pair)
-                got = self.lookup(all_xx(sets[i], sets[j], self.ctx))
-                if got is not UNSAT and got is not _OPEN:
-                    got = self.fill(sets[: max(len(slots), j + 1)], {i: got, j: got})
-                if got is _OPEN:
-                    opened = True
-                elif got is not UNSAT:
-                    return got
-        return _OPEN if opened else UNSAT
+                pairs.setdefault(frozenset((sets[i], sets[j])), (i, j))
+        return _first(self.equal_at(sets[: max(len(slots), j + 1)], i, j)
+                      for i, j in pairs.values())
+
+    def equal_at(self, sets: list[CRef], i: int, j: int):
+        """Values for sets with one common member at positions i and j."""
+        got = self.lookup(all_xx(sets[i], sets[j], self.ctx))
+        if got is UNSAT or got is _OPEN:
+            return got
+        return self.fill(sets, {i: got, j: got})
 
     # -- distinct members of a reference set
 
@@ -326,8 +317,8 @@ class _Generator:
         return out, False
 
     def eq_name(self, v) -> RefName:
-        """The name bound to "equals v" (its twin to the negation), made on
-        first use under the reserved #~ prefix that no $ref can produce."""
+        """The name bound to "equals v", made on first use under the
+        reserved #~ prefix that no $ref can produce."""
         key = canonical_key(v)
         name = self.eq_names.get(key)
         if name is not None:
@@ -347,7 +338,6 @@ class _Generator:
         while (name := RefName(f"#~eq{n}")) in env.bindings:
             n += 1
         env.bind(name, body)
-        env.bind(name.negate(), s_not(body))
         self.eq_names[key] = name
         return name
 
@@ -355,14 +345,8 @@ class _Generator:
 
     def try_object(self, co: CObject):
         names = [P.p_examples(f.pattern, len(f.reqs)) if f.reqs else [] for f in co.fragments]
-        opened = False
-        for plan in self.object_plans(co, names, 0, 0):
-            got = self.fill_object(co, names, plan)
-            if got is _OPEN:
-                opened = True
-            elif got is not UNSAT:
-                return got
-        return _OPEN if opened else UNSAT
+        plans = self.object_plans(co, names, 0, 0)
+        return _first(self.fill_object(co, names, plan) for plan in plans)
 
     def object_plans(self, co: CObject, names: list[list[str]], i: int, used: int):
         """Groupings of fragments i.. under the field budget left after used
@@ -413,6 +397,18 @@ class _Generator:
                 if needed == 0:
                     break
         return True if needed <= 0 else UNSAT
+
+
+def _first(results: Iterable):
+    """The first value among results, else _OPEN if one of them waited on a
+    set not solved yet, else UNSAT. Results are drawn one at a time."""
+    opened = False
+    for got in results:
+        if got is _OPEN:
+            opened = True
+        elif got is not UNSAT:
+            return got
+    return _OPEN if opened else UNSAT
 
 
 def _match(candidates: list[list]) -> Optional[list]:

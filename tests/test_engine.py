@@ -15,6 +15,7 @@ from jsonsub.engine import (
     UniverseParams,
     check_equivalence,
     check_inclusion,
+    check_inclusion_terms,
     compile_validator,
     derive_universe,
     iter_universe,
@@ -23,7 +24,8 @@ from jsonsub.engine import (
     satisfies_value,
 )
 from jsonsub.errors import BudgetExceeded, MalformedSchema, UniverseTooLarge
-from jsonsub.model import Env
+from jsonsub.families import rec_depth
+from jsonsub.model import Env, RefName, SRefSingle, SType
 from jsonsub.values import canonical_key, dump_json, parse_json
 
 from _family import gen_pair, gen_schema, universe_for
@@ -696,3 +698,46 @@ def test_environment_not_mutated_by_checks():
 
     check_inclusion_terms(doc.root, doc.root, doc.env)
     assert doc.env.bindings == before
+
+
+def test_negated_reference_checks_without_a_bound_twin():
+    # the cross-check reads the caller's environment, which binds no twins
+    x = RefName("#/x")
+    env = Env({x: SType("string")})
+    before = dict(env.bindings)
+    res = check_inclusion_terms(SRefSingle(x.negate()), SType("string"), env)
+    assert res.verdict == "not_included"
+    assert env.bindings == before
+
+
+# ---------------------------------------------------------------------------
+# loading long reference chains does not nest calls per reference
+
+
+def _alias_chain(n: int) -> dict:
+    defs = {f"a{i}": {"$ref": f"#/definitions/a{i + 1}"} for i in range(n)}
+    defs[f"a{n}"] = {"type": "string"}
+    return {"$ref": "#/definitions/a0", "definitions": defs}
+
+
+def test_load_document_on_a_deep_guarded_cycle():
+    doc = load_document(exact(rec_depth(2000)[0]))
+    assert len(doc.env.bindings) == 2000
+
+
+def test_load_document_on_a_long_alias_chain():
+    doc = load_document(exact(_alias_chain(2000)))
+    assert len(doc.env.bindings) == 2001
+
+
+def test_satisfies_value_on_a_deep_guarded_cycle():
+    left = rec_depth(500)[0]
+    assert sat({"head": 0, "tail": {"head": 1, "tail": None}}, left)
+    assert not sat({"head": 0, "tail": {"head": 0, "tail": None}}, left)
+
+
+def test_alias_cycle_is_still_an_unguarded_cycle():
+    node = _alias_chain(3)
+    node["definitions"]["a3"] = {"$ref": "#/definitions/a1"}
+    with pytest.raises(MalformedSchema, match="unguarded reference cycle"):
+        load_document(exact(node))

@@ -25,7 +25,6 @@ from jsonsub.model import (
     TRUE,
     cref,
     iter_refs,
-    not_complete,
     s_all_of,
     s_any_of,
     s_not,
@@ -92,17 +91,41 @@ def test_false_ref_clashes_and_is_stable():
     f = env.false_ref()
     assert f.has_clash
     assert env.false_ref() == f
-    # the reserved pair, whatever else is bound, with both bodies bound
+    # the reserved pair, whatever else is bound, with both bodies readable
     assert {m.uri for m in f.members} == {"#~never"}
     assert all(env.body(m) in (FALSE, TRUE) for m in f.members)
 
 
-def test_not_complete_binds_negative_twins():
+def test_negated_name_reads_the_negation_of_its_twin():
     env = Env()
     x = RefName("#/x", False)
     env.bind(x, SType("null"))
-    not_complete(env)
     assert env.body(x.negate()) == s_not(SType("null"))
+
+
+def test_reading_a_negated_name_adds_no_binding():
+    env = Env()
+    x = RefName("#/x", False)
+    env.bind(x, SType("null"))
+    before = dict(env.bindings)
+    env.body(x.negate())
+    env.cref_body(cref(x.negate()))
+    assert env.bindings == before
+
+
+def test_bound_negated_name_wins_over_its_twin():
+    env = Env()
+    x = RefName("#/x", False)
+    env.bind(x, SType("null"))
+    env.bind(x.negate(), SType("string"))
+    assert env.body(x.negate()) == SType("string")
+
+
+def test_negated_name_without_either_binding_is_unresolvable():
+    env = Env()
+    env.bind(RefName("#/y", False), TRUE)
+    with pytest.raises(UnresolvableRef):
+        env.body(RefName("#/x", True))
 
 
 def test_iter_refs_guardedness():

@@ -29,7 +29,7 @@ from jsonsub.engine import (
 )
 from jsonsub.errors import BudgetExceeded
 from jsonsub.families import make_pair, rec_depth
-from jsonsub.model import Document, Env, not_complete
+from jsonsub.model import Document, Env
 from jsonsub.norm import NormContext, dnf_of, meet, prepare
 from jsonsub.values import parse_json
 
@@ -44,7 +44,6 @@ def norm_of(node, **ctx_args):
     doc = load_document(exact(node))
     doc = expand_oneof_doc(doc)
     doc = stratify(doc)
-    not_complete(doc.env)
     ctx = NormContext(doc.env, **ctx_args)
     return dnf_of(doc.root, ctx), ctx
 
@@ -112,7 +111,6 @@ def test_dnf_matches_source_on_universe():
         doc = load_document(exact(node))
         doc = expand_oneof_doc(doc)
         doc = stratify(doc)
-        not_complete(doc.env)
         ctx = NormContext(doc.env)
         rebuilt = dnf_to_schema(dnf_of(doc.root, ctx))
 
@@ -140,7 +138,6 @@ def test_meet_is_intersection_on_universe():
         for d in ref_docs:
             env.bindings.update(d.env.bindings)
         roots = [stratify(expand_oneof_doc(Document(d.root, env))).root for d in ref_docs]
-        not_complete(env)
         ctx = NormContext(env)
         left, right = (dnf_of(r, ctx).conjs for r in roots)
 
