@@ -238,7 +238,7 @@ class _Parser:
                 prop_pats.append(pat)
                 conj.append(SPatternProps(pat, self.schema(pats[src])))
         if "additionalProperties" in node:
-            residual = P.p_not(P.p_or(*prop_pats)) if prop_pats else P.TOP
+            residual = P.p_not(P.p_or(*prop_pats))
             sub = self.schema(node["additionalProperties"])
             if sub != TRUE:
                 conj.append(SPatternProps(residual, sub))
@@ -485,8 +485,12 @@ class _Serializer:
     def string_pattern(self, e: P.PatternExpr) -> Any:
         if isinstance(e, P.PRegex):
             return {"pattern": e.source}
-        if isinstance(e, P.PKey):
-            return {"pattern": P.anchored_key_source(e.literal)}
+        if isinstance(e, P.PKeys):
+            lit = P.key_literal(e)
+            if lit is not None:
+                return {"pattern": P.anchored_key_source(lit)}
+            src = P.regex_source(e)
+            return {"not": {"type": "string"}} if src is None else {"pattern": src}
         if isinstance(e, P.PMinLen):
             return {"minLength": e.bound}
         if isinstance(e, P.PMaxLen):

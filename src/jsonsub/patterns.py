@@ -1,13 +1,16 @@
 """Decidable algebra of string and property-name patterns.
 
-Pattern expressions combine a regex subset, literal keys, and length
-bounds under boolean operations. Every expression compiles to a minimal
-DFA over Unicode code point intervals, which makes emptiness, inclusion,
-disjointness and example extraction all decidable. Compiled automata are
-cached per canonical expression. Relations between expressions built from
-literal keys alone (finite name sets and their complements) are decided
-by set algebra without touching automata; the others test the reachable
-product of the two automata for an accepting state, without minimizing it.
+Pattern expressions combine a regex subset, key sets, and length bounds
+under boolean operations. A key set (PKeys) is one node: a finite set of
+names, or every string except them. The constructors fold every boolean
+combination of key sets into one such node, so TOP and BOTTOM are key
+sets too. Every expression compiles to a minimal DFA over Unicode code
+point intervals (a key set as one automaton of its names), which makes
+emptiness, inclusion, disjointness and example extraction all decidable.
+Compiled automata are cached per canonical expression. Relations between
+two key sets are decided by set algebra without touching automata; the
+others test the reachable product of the two automata for an accepting
+state, without minimizing it.
 Example extraction is exact too: it returns the first k members in
 shortest-then-lexicographic order, expanding at most k prefixes per state.
 
@@ -102,11 +105,14 @@ class PRegex(PatternExpr):
 
 
 @dataclass(frozen=True, slots=True)
-class PKey(PatternExpr):
-    literal: str
+class PKeys(PatternExpr):
+    """The listed names, or every string except them when cofinite."""
+
+    names: frozenset[str]
+    cofinite: bool = False
 
     def _rank(self):
-        return (0, self.literal)
+        return (0, self.cofinite, tuple(sorted(self.names)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +155,8 @@ class PAny(PatternExpr):
         return (6, tuple(i._rank() for i in self.items))
 
 
-TOP = PMinLen(0)
-BOTTOM = PNot(TOP)
+TOP = PKeys(frozenset(), True)
+BOTTOM = PKeys(frozenset())
 
 
 def regex(source: str) -> PatternExpr:
@@ -162,7 +168,7 @@ def regex(source: str) -> PatternExpr:
 
 
 def key(literal: str) -> PatternExpr:
-    return PKey(literal)
+    return PKeys(frozenset((literal,)))
 
 
 def min_len(bound: int) -> PatternExpr:
@@ -183,43 +189,51 @@ def _check_bound(bound: int) -> None:
 
 
 def p_not(e: PatternExpr) -> PatternExpr:
+    if type(e) is PKeys:
+        return PKeys(e.names, not e.cofinite)
     if isinstance(e, PNot):
         return e.item
     return PNot(e)
 
 
 def p_and(*items: PatternExpr) -> PatternExpr:
-    flat: list[PatternExpr] = []
-    for it in items:
-        if isinstance(it, PAll):
-            flat.extend(it.items)
-        elif it == TOP:
-            continue
-        else:
-            flat.append(it)
-    uniq = sorted(set(flat), key=lambda e: e._rank())
-    if not uniq:
-        return TOP
-    if len(uniq) == 1:
-        return uniq[0]
-    return PAll(tuple(uniq))
+    return _fold(items, PAll, TOP, False)
 
 
 def p_or(*items: PatternExpr) -> PatternExpr:
-    flat: list[PatternExpr] = []
+    return _fold(items, PAny, BOTTOM, True)
+
+
+def _fold(items: tuple[PatternExpr, ...], node: type, unit: PKeys, flip: bool) -> PatternExpr:
+    """Flatten items into one node (PAll, or PAny when flip), meeting every
+    key set among them (joining, when flip) into a single PKeys."""
+    keys = unit
+    rest: set[PatternExpr] = set()
     for it in items:
-        if isinstance(it, PAny):
-            flat.extend(it.items)
-        elif it == BOTTOM:
-            continue
-        else:
-            flat.append(it)
-    uniq = sorted(set(flat), key=lambda e: e._rank())
-    if not uniq:
-        return BOTTOM
-    if len(uniq) == 1:
-        return uniq[0]
-    return PAny(tuple(uniq))
+        for sub in it.items if type(it) is node else (it,):
+            if type(sub) is PKeys:
+                keys = _meet(keys, sub, flip)
+                if not keys.names and keys.cofinite == flip:
+                    return keys  # no names, or every name
+            else:
+                rest.add(sub)
+    parts = sorted(rest, key=lambda e: e._rank())
+    if keys != unit:
+        parts.insert(0, keys)
+    if len(parts) == 1:
+        return parts[0]
+    return node(tuple(parts)) if parts else unit
+
+
+def _meet(a: PKeys, b: PKeys, flip: bool) -> PKeys:
+    """Intersection of two key sets; their union when flip, as the
+    complement of the intersection of the complements."""
+    ca, cb = a.cofinite != flip, b.cofinite != flip
+    if ca:
+        names = a.names | b.names if cb else b.names - a.names
+    else:
+        names = a.names - b.names if cb else a.names & b.names
+    return PKeys(names, (ca and cb) != flip)
 
 
 def p_diff(a: PatternExpr, b: PatternExpr) -> PatternExpr:
@@ -227,49 +241,11 @@ def p_diff(a: PatternExpr, b: PatternExpr) -> PatternExpr:
 
 
 def key_literal(e: PatternExpr) -> Optional[str]:
-    """The literal if e is a single-key pattern, else None."""
-    return e.literal if isinstance(e, PKey) else None
-
-
-_KeySet = tuple[frozenset[str], bool]
-
-_NO_NAMES: _KeySet = (frozenset(), False)
-_ALL_NAMES: _KeySet = (frozenset(), True)
-
-
-def _key_set(e: PatternExpr) -> Optional[_KeySet]:
-    """(names, cofinite) when e is a boolean combination of literal keys and
-    TOP: the language is `names`, or every string except `names` when
-    cofinite. None when deciding e needs an automaton."""
-    kind = type(e)
-    if kind is PKey:
-        return frozenset((e.literal,)), False
-    if kind is PNot:
-        inner = _key_set(e.item)
-        return None if inner is None else (inner[0], not inner[1])
-    if kind is PAll or kind is PAny:
-        # a union is the complement of the intersection of the complements
-        flip = kind is PAny
-        acc = _ALL_NAMES
-        for it in e.items:
-            sub = _key_set(it)
-            if sub is None:
-                return None
-            acc = _meet(acc, (sub[0], sub[1] != flip))
-        return acc[0], acc[1] != flip
-    return _ALL_NAMES if kind is PMinLen and e.bound == 0 else None
-
-
-def _meet(a: _KeySet, b: _KeySet) -> _KeySet:
-    """Intersection of two key sets."""
-    (na, ca), (nb, cb) = a, b
-    if ca and cb:
-        return na | nb, True
-    if ca:
-        return nb - na, False
-    if cb:
-        return na - nb, False
-    return na & nb, False
+    """The name if e is a one-name finite key set, else None."""
+    if type(e) is PKeys and len(e.names) == 1 and not e.cofinite:
+        (name,) = e.names
+        return name
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +816,11 @@ _DFA_CACHE: dict[PatternExpr, Dfa] = {}
 _ANY_STAR = ("star", ("class", _FULL))
 
 
+def _literal_ast(text: str):
+    parts = tuple(("class", ((ord(c), ord(c)),)) for c in text)
+    return ("cat", parts) if parts else ("eps",)
+
+
 def compile_pattern(e: PatternExpr) -> Dfa:
     hit = _DFA_CACHE.get(e)
     if hit is not None:
@@ -847,10 +828,11 @@ def compile_pattern(e: PatternExpr) -> Dfa:
     if isinstance(e, PRegex):
         ast = _parse_regex(e.source)
         dfa = _minimize(_determinize(_build_nfa(("cat", (_ANY_STAR, ast, _ANY_STAR)))))
-    elif isinstance(e, PKey):
-        parts = tuple(("class", ((ord(c), ord(c)),)) for c in e.literal)
-        ast = ("cat", parts) if parts else ("eps",)
+    elif isinstance(e, PKeys):
+        ast = ("alt", tuple(_literal_ast(name) for name in sorted(e.names)))
         dfa = _minimize(_determinize(_build_nfa(ast)))
+        if e.cofinite:
+            dfa = _flip(dfa)
     elif isinstance(e, (PMinLen, PMaxLen)):
         # state i counts i characters read; the last state absorbs the rest
         last = e.bound + isinstance(e, PMaxLen)
@@ -876,39 +858,41 @@ def p_matches(e: PatternExpr, text: str) -> bool:
 
 
 def p_is_empty(e: PatternExpr) -> bool:
-    keys = _key_set(e)
-    if keys is not None:
-        return keys == _NO_NAMES
+    if type(e) is PKeys:
+        return not e.names and not e.cofinite
     return not compile_pattern(e).accepting
 
 
 # The two relations are the most frequent calls of normalization, so each
-# decides key sets inline rather than through a shared helper.
+# decides two key sets inline by set algebra, without automata. A key set
+# with no names is empty or everything, which needs at most one emptiness
+# test of the other side; the rest test the reachable product.
 def p_subset(a: PatternExpr, b: PatternExpr) -> bool:
-    ka, kb = _key_set(a), _key_set(b)
-    if ka is not None and kb is not None:
-        (na, ca), (nb, cb) = ka, kb
-        if ca:
-            return cb and nb <= na
-        return na.isdisjoint(nb) if cb else na <= nb
-    if a == b or ka == _NO_NAMES or kb == _ALL_NAMES:
-        return True
-    if ka == _ALL_NAMES:
-        return p_is_empty(p_not(b))
-    return _product_is_empty(a, b, negate_b=True)
+    if type(b) is PKeys:
+        if type(a) is PKeys:
+            na, nb = a.names, b.names
+            if a.cofinite:
+                return b.cofinite and nb <= na
+            return na.isdisjoint(nb) if b.cofinite else na <= nb
+        if b.cofinite and not b.names:
+            return True
+    elif type(a) is PKeys and not a.names:
+        return not a.cofinite or p_is_empty(p_not(b))
+    return a == b or _product_is_empty(a, b, negate_b=True)
 
 
 def p_disjoint(a: PatternExpr, b: PatternExpr) -> bool:
-    ka, kb = _key_set(a), _key_set(b)
-    if ka is not None and kb is not None:
-        (na, ca), (nb, cb) = ka, kb
-        if ca:
-            return not cb and nb <= na
-        return na <= nb if cb else na.isdisjoint(nb)
-    if _NO_NAMES in (ka, kb):
-        return True
-    if _ALL_NAMES in (ka, kb):
-        return p_is_empty(b if ka == _ALL_NAMES else a)
+    if type(b) is PKeys and type(a) is not PKeys:
+        a, b = b, a
+    if type(a) is PKeys:
+        na = a.names
+        if type(b) is PKeys:
+            nb = b.names
+            if a.cofinite:
+                return not b.cofinite and nb <= na
+            return na <= nb if b.cofinite else na.isdisjoint(nb)
+        if not na:
+            return not a.cofinite or p_is_empty(b)
     return _product_is_empty(a, b, negate_b=False)
 
 

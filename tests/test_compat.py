@@ -13,12 +13,15 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from jsonsub import patterns as P
 from jsonsub.compat import parse_schema, serialize
+from jsonsub.engine import satisfies
 from jsonsub.errors import (
     MalformedSchema,
     UnresolvableRef,
     UnsupportedKeyword,
 )
+from jsonsub.model import Document, Env, SPattern, SPatternProps, SPatternReq, SType
 from jsonsub.values import dump_json, parse_json
 
 SCHEMAS = [
@@ -92,6 +95,26 @@ def test_round_trip_preserves_draft6_semantics(schema):
     after = jsonschema.Draft6Validator(back)
     for v in SAMPLES:
         assert before.is_valid(v) == after.is_valid(v), (schema, back, v)
+
+
+NAME_SET_TERMS = [
+    SPattern(P.p_or(P.key("a"), P.key("hi"))),
+    SPattern(P.p_not(P.key("a"))),
+    SPattern(P.BOTTOM),
+    SPatternProps(P.p_not(P.p_or(P.key("a"), P.key("b"))), SType("number")),
+    SPatternReq(P.p_not(P.key("a")), SType("string")),
+]
+
+
+@pytest.mark.parametrize("term", NAME_SET_TERMS, ids=repr)
+def test_name_sets_serialize_to_their_semantics(term):
+    # no parsed schema yields a string pattern or a cofinite name set, so
+    # these terms are built directly
+    back = json.loads(dump_json(serialize(Document(term, Env()))))
+    jsonschema.Draft6Validator.check_schema(back)
+    after = jsonschema.Draft6Validator(back)
+    for v in SAMPLES:
+        assert after.is_valid(v) == satisfies(_exact(v), term, Env()), (back, v)
 
 
 def test_integer_type_accepts_whole_floats():

@@ -7,10 +7,16 @@ sha256 covers the `(verdict, dump_json(witness))` rows in that order, so
 a refactor of the normalizer or the witness stage that changes any
 verdict or any witness fails here. A change that means to alter outputs
 re-records the digest and says which rows moved and why.
+
+The test also sums every `Stats` field but `elapsed` over the same checks,
+so a change that moves the work the normalizer and the witness stage do
+(steps, memo hits, fast-pass hits, ...) fails here too, and re-records
+`TOTALS` with the cause of the move.
 """
 
 import hashlib
 import random
+from collections import Counter
 
 from jsonsub import check_inclusion, dump_json
 from jsonsub.families import rec_depth, self_incl
@@ -18,6 +24,19 @@ from jsonsub.families import rec_depth, self_incl
 from _family import gen_pair
 
 DIGEST = "f226897ce8927be71952ed7ca3661043bf2b79d4f974fff2362816e55de7660b"
+
+TOTALS = {
+    "steps": 1_120_065,
+    "fast_path_hits": 35_195,
+    "fast_path_misses": 55_380,
+    "crefs_created": 8_268,
+    "memo_hits": 44_889,
+    "max_disjuncts": 21_636,
+    "cs_calls": 488_801,
+    "gen_rounds": 3_412,
+    "gen_budget_hits": 0,
+    "generation_invoked": 2_673,
+}
 
 
 def _checks():
@@ -34,9 +53,14 @@ def _checks():
 def test_outputs_unchanged_on_the_8054_checks():
     h = hashlib.sha256()
     count = 0
+    totals: Counter = Counter()
     for left, right in _checks():
         res = check_inclusion(left, right)
         h.update(f"{res.verdict}\t{dump_json(res.witness, indent=None)}\n".encode())
         count += 1
+        stats = res.stats.as_dict()
+        del stats["elapsed"]
+        totals.update(stats)
     assert count == 8054
     assert h.hexdigest() == DIGEST
+    assert dict(totals) == TOTALS

@@ -222,6 +222,36 @@ def test_key_literal():
     assert P.key_literal(P.regex("^a")) is None
 
 
+def test_key_set_complements_fold_into_one_node():
+    a, b = P.key("a"), P.key("b")
+    assert P.p_and(P.p_not(a), P.p_not(b)) == P.p_not(P.p_or(a, b))
+
+
+def test_key_sets_fold_to_top_and_bottom():
+    a, b = P.key("a"), P.key("b")
+    assert P.p_or(a, P.p_not(a)) == P.TOP
+    assert P.p_and(a, b) == P.BOTTOM
+
+
+def test_key_literal_of_folded_key_sets():
+    a, b = P.key("a"), P.key("b")
+    assert P.key_literal(P.p_and(a, P.p_not(b))) == "a"
+    assert P.key_literal(P.p_or(a, b)) is None
+    assert P.key_literal(P.p_not(a)) is None
+
+
+def test_many_key_names_compile_fast():
+    rng = random.Random(200)
+    names = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(8)) for _ in range(200)]
+    e = P.p_not(P.p_or(*(P.key(n) for n in names)))
+    P._DFA_CACHE.pop(e, None)
+    start = time.monotonic()
+    P.compile_pattern(e)
+    assert time.monotonic() - start < 1.0
+    assert not any(P.p_matches(e, n) for n in names)
+    assert P.p_matches(e, "") and P.p_matches(e, names[0] + "x")
+
+
 def test_regex_source_is_anchored_and_faithful():
     for src in ["^a", "b$", "^(a|b)*$", "a"]:
         e = P.regex(src)
@@ -281,8 +311,8 @@ def test_algebra_agrees_with_structural_evaluation(e, w):
     def ref(node, s):
         if isinstance(node, P.PRegex):
             return P.p_matches(node, s)
-        if isinstance(node, P.PKey):
-            return s == node.literal
+        if isinstance(node, P.PKeys):
+            return (s in node.names) != node.cofinite
         if isinstance(node, P.PMinLen):
             return len(s) >= node.bound
         if isinstance(node, P.PMaxLen):
