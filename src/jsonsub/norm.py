@@ -6,7 +6,8 @@ as any prefix of the fold collapses to the empty disjunction. A cheap
 refutational pass, fast_check, first meets the conjunction with each
 conjunct alone, so that a contradiction anywhere in an allOf is found
 before the terms ahead of it are normalized; it answers with the empty
-disjunction or with the conjunction it was given.
+disjunction or with the conjunction it was given. It answers liveness
+and builds no conjunction: it stops at the first live outcome.
 
 Two canonical conjunctions are intersected by one routine, meet. A type,
 constant, number or string operator enters as its own canonical
@@ -87,6 +88,7 @@ from .model import (
     STypeSet,
     SUniqueItems,
     Schema,
+    s_not,
 )
 
 DEFAULT_MAX_STEPS = 50_000_000
@@ -150,7 +152,11 @@ def all_ds(d: Dnf, s: Schema, ctx: NormContext) -> Dnf:
     ctx.tick()
     if d.is_false:
         return D_FALSE
-    out = any_dd([all_cs(c, s, ctx) for c in d.conjs])
+    # a loop: a comprehension would cost a frame per level of reference
+    parts = []
+    for c in d.conjs:
+        parts.append(all_cs(c, s, ctx))
+    out = any_dd(parts)
     ctx.note_width(len(out.conjs))
     return out
 
@@ -163,6 +169,13 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     if isinstance(s, SRef):
         return _conj_with_ref(c, s.ref, ctx, fast)
     if isinstance(s, SNot):
+        if fast and isinstance(s.item, SAllOf):
+            # live when one negated conjunct is; their union is never built
+            for item in s.item.items:
+                d = all_cs(c, s_not(item), ctx, True)
+                if d.conjs:
+                    return d
+            return D_FALSE
         return all_cs(c, not_push(s.item, ctx.env), ctx, fast)
     if isinstance(s, SAnyOf):
         parts = []
@@ -183,13 +196,13 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
         for item in s.items[1:]:
             d = all_ds(d, item, ctx)
         return d
-    return all_ck(c, s, ctx)
+    return all_ck(c, s, ctx, fast)
 
 
 def fast_check(c: Conj, items: tuple[Schema, ...], ctx: NormContext) -> Dnf:
-    """Try to refute c against each conjunct alone, cheaply: the empty
-    disjunction when one of them refutes it, else c as its one disjunct.
-    A fast pass reads no more of a result than whether it is false."""
+    """Refute c against each conjunct alone: the empty disjunction when one
+    of them refutes it, else c as its one disjunct. The pass answers only
+    liveness, so it stops at the first live outcome and builds no conjunction."""
     ctx.tick()
     for item in items:
         if all_cs(c, item, ctx, fast=True).is_false:
@@ -345,7 +358,7 @@ _CONTAINER_TYPE = {
 }
 
 
-def all_ck(c: Conj, k: Schema, ctx: NormContext) -> Dnf:
+def all_ck(c: Conj, k: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     ctx.tick()
     k_type = _CONTAINER_TYPE.get(type(k))
     if k_type is None:
@@ -361,14 +374,14 @@ def all_ck(c: Conj, k: Schema, ctx: NormContext) -> Dnf:
         if rest:
             parts.append(CTypeSet(rest))
         fresh = CObject() if k_type == "object" else CArray()
-        parts.extend(all_ck(fresh, k, ctx).conjs)
+        parts.extend(all_ck(fresh, k, ctx, fast).conjs)
         ctx.note_width(len(parts))
         return Dnf(tuple(parts))
 
     if conj_type(c) != k_type:
         return Dnf((c,))
     if isinstance(c, CObject):
-        return _insert_object(c, k, ctx)
+        return _insert_object(c, k, ctx, fast)
     return _insert_array(c, k, ctx)
 
 
@@ -416,12 +429,13 @@ def _req_sides(
 
 
 def merge_frag_prop(
-    frag: Fragment, pattern: P.PatternExpr, x: CRef, ctx: NormContext
+    frag: Fragment, pattern: P.PatternExpr, x: CRef, ctx: NormContext, fast: bool = False
 ) -> list[list[Fragment]]:
     """Ways to rewrite one fragment under 'every field matching the pattern
-    satisfies x'. An empty list means the object is unsatisfiable."""
+    satisfies x'. An empty list means the object is unsatisfiable. A fast
+    call answers only that: any other outcome comes back as [[frag]]."""
     ctx.tick()
-    if P.p_disjoint(frag.pattern, pattern):
+    if (fast and not frag.reqs) or P.p_disjoint(frag.pattern, pattern):
         return [[frag]]
     if P.p_subset(frag.pattern, pattern):
         new_reqs = []
@@ -430,7 +444,12 @@ def merge_frag_prop(
             if w.has_clash:
                 return []
             new_reqs.append(w)
-        return [[Fragment(frag.pattern, all_xx(frag.ref, x, ctx), sort_reqs(new_reqs))]]
+        if not fast:
+            return [[Fragment(frag.pattern, all_xx(frag.ref, x, ctx), sort_reqs(new_reqs))]]
+    if fast:
+        # no clash left; a cut keeps the choice with every requirement
+        # outside, which needs no more fields than frag did
+        return [[frag]]
     inside, outside = _cut(frag, pattern)
     ref_in = all_xx(frag.ref, x, ctx)
     return [
@@ -439,10 +458,13 @@ def merge_frag_prop(
     ]
 
 
-def insert_preq(co: CObject, pattern: P.PatternExpr, y: CRef, ctx: NormContext) -> Dnf:
+def insert_preq(
+    co: CObject, pattern: P.PatternExpr, y: CRef, ctx: NormContext, fast: bool = False
+) -> Dnf:
     """'Some field matching the pattern satisfies y': one disjunct per
     fragment that can host the required field, and per side each of that
-    fragment's requirements takes when the pattern cuts it."""
+    fragment's requirements takes when the pattern cuts it. A fast call
+    returns co itself at the first fragment that can host the field."""
     ctx.tick()
     if P.p_is_empty(pattern):
         return D_FALSE
@@ -453,6 +475,12 @@ def insert_preq(co: CObject, pattern: P.PatternExpr, y: CRef, ctx: NormContext) 
             continue
         w = all_xx(frag.ref, y, ctx)
         if w.has_clash:
+            continue
+        if fast:
+            # keeping every requirement of a cut fragment inside always works
+            # (all_xx(req, CREF_TRUE) never clashes) and needs the fewest fields
+            if not _short_of_fields(co.fragments, co.max_props, 0 if frag.reqs else 1):
+                return Dnf((co,))
             continue
         if P.p_subset(frag.pattern, pattern):
             out.append(co.replace({i: [frag.with_reqs(frag.reqs + (w,))]}))
@@ -469,7 +497,7 @@ def insert_preq(co: CObject, pattern: P.PatternExpr, y: CRef, ctx: NormContext) 
     return Dnf(tuple(out))
 
 
-def _insert_object(co: CObject, k: Schema, ctx: NormContext) -> Dnf:
+def _insert_object(co: CObject, k: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     if isinstance(k, SMinProps):
         n = max(co.min_props, k.bound)
         if co.max_props is not None and n > co.max_props:
@@ -488,7 +516,7 @@ def _insert_object(co: CObject, k: Schema, ctx: NormContext) -> Dnf:
             return Dnf((co,))
         changes: list[tuple[int, list[list[Fragment]]]] = []
         for i in co.candidates(k.pattern):
-            opts = merge_frag_prop(co.fragments[i], k.pattern, x, ctx)
+            opts = merge_frag_prop(co.fragments[i], k.pattern, x, ctx, fast)
             if not opts:
                 return D_FALSE
             if len(opts) == 1 and opts[0] == [co.fragments[i]]:
@@ -504,7 +532,7 @@ def _insert_object(co: CObject, k: Schema, ctx: NormContext) -> Dnf:
         ctx.note_width(len(d.conjs))
         return d
     if isinstance(k, SPatternReq):
-        d = insert_preq(co, k.pattern, _arg_ref(k.schema), ctx)
+        d = insert_preq(co, k.pattern, _arg_ref(k.schema), ctx, fast)
         return _object_guard(list(d.conjs))
     raise AssertionError(f"no object insertion for {k!r}")
 
@@ -517,10 +545,10 @@ def _object_guard(conjs: list[Conj]) -> Dnf:
     ))
 
 
-def _short_of_fields(fragments: tuple[Fragment, ...], max_props: Optional[int]) -> bool:
+def _short_of_fields(frags: tuple[Fragment, ...], max_props: Optional[int], extra: int = 0) -> bool:
     # fragments are name-disjoint, so each fragment holding requirements
-    # needs at least one field of its own
-    return max_props is not None and max_props < sum(1 for f in fragments if f.reqs)
+    # needs at least one field of its own; extra counts fields still to come
+    return max_props is not None and max_props < extra + sum(1 for f in frags if f.reqs)
 
 
 def _arg_ref(s: Schema) -> CRef:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from operator import and_, or_
 from typing import Iterable, Optional
 
@@ -647,6 +648,23 @@ class Dfa:
             q = self.step(q, ord(ch))
         return q in self.accepting
 
+    @cached_property
+    def live(self) -> frozenset[int]:
+        """The states from which some accepting state is reachable."""
+        rev: dict[int, set[int]] = {}
+        for q, row in enumerate(self.rows):
+            for _, _, t in row:
+                rev.setdefault(t, set()).add(q)
+        seen = set(self.accepting)
+        stack = list(self.accepting)
+        while stack:
+            q = stack.pop()
+            for p in rev.get(q, ()):
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return frozenset(seen)
+
 
 def _determinize(nfa: _Nfa) -> Dfa:
     eps_from: list[list[tuple[int, int]]] = [[] for _ in range(nfa.count)]
@@ -923,7 +941,7 @@ def p_examples(e: PatternExpr, k: int) -> list[str]:
     it: at most k prefixes per state are expanded.
     """
     dfa = compile_pattern(e)
-    live = _coreachable(dfa)
+    live = dfa.live
     out: list[str] = []
     visits = [0] * len(dfa.rows)
     # heap entries: (length, text, state, sibling_hi). sibling_hi is the top
@@ -944,22 +962,6 @@ def p_examples(e: PatternExpr, k: int) -> list[str]:
             if t in live:
                 heapq.heappush(heap, (length + 1, text + chr(lo), t, hi))
     return out
-
-
-def _coreachable(dfa: Dfa) -> frozenset[int]:
-    rev: dict[int, set[int]] = {}
-    for q, row in enumerate(dfa.rows):
-        for _, _, t in row:
-            rev.setdefault(t, set()).add(q)
-    seen = set(dfa.accepting)
-    stack = list(dfa.accepting)
-    while stack:
-        q = stack.pop()
-        for p in rev.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1067,7 @@ def _eliminate(dfa: Dfa):
     add(start, dfa.start, ("eps",))
     for q in dfa.accepting:
         add(q, end, ("eps",))
-    live = _coreachable(dfa)
+    live = dfa.live
     for q, row in enumerate(dfa.rows):
         if q not in live:
             continue

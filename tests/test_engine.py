@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
@@ -741,3 +742,23 @@ def test_alias_cycle_is_still_an_unguarded_cycle():
     node["definitions"]["a3"] = {"$ref": "#/definitions/a1"}
     with pytest.raises(MalformedSchema, match="unguarded reference cycle"):
         load_document(exact(node))
+
+
+# ---------------------------------------------------------------------------
+# checking them: the Python frames a reference level costs
+
+
+def _on_fresh_stack(fn, *args):
+    # a thread of its own, so the test runner's frames take no recursion depth
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def test_check_on_a_deep_guarded_cycle():
+    assert _on_fresh_stack(check_inclusion, *rec_depth(56)).included
+
+
+def test_check_on_a_long_alias_chain():
+    chain, string = _alias_chain(190), {"type": "string"}
+    assert _on_fresh_stack(check_inclusion, chain, string).included
+    assert _on_fresh_stack(check_inclusion, string, chain).included

@@ -9,12 +9,15 @@ disjunctive normal form against every value of a bounded universe.
 import functools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from jsonsub import canon
+from jsonsub import patterns as P
 from jsonsub.canon import (
     CArray,
+    CObject,
     conj_to_schema,
     conj_type,
     dnf_to_schema,
@@ -29,8 +32,21 @@ from jsonsub.engine import (
 )
 from jsonsub.errors import BudgetExceeded
 from jsonsub.families import make_pair, rec_depth
-from jsonsub.model import Document, Env
-from jsonsub.norm import NormContext, dnf_of, meet, prepare
+from jsonsub.model import (
+    TRUE,
+    Document,
+    Env,
+    RefName,
+    SAllOf,
+    SMaxProps,
+    SMinProps,
+    SNot,
+    SPatternProps,
+    SPatternReq,
+    SRefSingle,
+    SType,
+)
+from jsonsub.norm import NormContext, all_ck, all_cs, dnf_of, meet, prepare
 from jsonsub.values import parse_json
 
 from _family import gen_pair, gen_schema, universe_for
@@ -184,6 +200,75 @@ def test_fast_path_settles_self_inclusion():
     assert res.stats.generation_invoked is False
     assert res.stats.fast_path_hits > 0
     assert res.stats.steps < 20_000
+
+
+# a fast insertion reads as false exactly when the full one does: it stops
+# at the first live outcome, and a wrong stopping rule shows up here
+
+_BODIES = {
+    RefName("#/s"): SType("string"),
+    RefName("#/n"): SType("number"),
+    RefName("#/t"): TRUE,
+}
+_ARGS = [SRefSingle(m) for name in _BODIES for m in (name, name.negate())]
+_NAME_SETS = [
+    P.regex("^[ab]$"),
+    P.key("a"),
+    P.key("c"),
+    P.p_or(P.key("a"), P.key("b")),
+    P.p_not(P.p_or(P.key("a"), P.key("b"))),
+    P.TOP,
+]
+
+
+def _field_op(rng):
+    op = rng.choice((SPatternReq, SPatternReq, SPatternProps))
+    return op(rng.choice(_NAME_SETS), rng.choice(_ARGS))
+
+
+def _object_op(rng):
+    if rng.random() < 0.2:
+        return rng.choice((SMaxProps, SMaxProps, SMinProps))(rng.randint(1, 3))
+    return _field_op(rng)
+
+
+def _seeded_object(rng, env):
+    """A canonical object reached by inserting a few seeded operators."""
+    ctx = NormContext(env)
+    while True:
+        c = CObject()
+        for _ in range(rng.randint(0, 5)):
+            d = all_ck(c, _object_op(rng), ctx)
+            if d.is_false:
+                break
+            c = rng.choice(d.conjs)
+        else:
+            return c
+
+
+def test_fast_insertion_is_false_exactly_when_the_full_one_is():
+    rng = random.Random(20261019)
+    env = Env(_BODIES)
+    seen: Counter = Counter()
+    for _ in range(400):
+        c = _seeded_object(rng, env)
+        budget = c.max_props is not None
+        held = sum(1 for f in c.fragments if f.reqs)
+        for _ in range(3):
+            k = _field_op(rng)
+            fast = all_ck(c, k, NormContext(env), fast=True).is_false
+            assert fast == all_ck(c, k, NormContext(env)).is_false, (c, k)
+            seen[type(k).__name__, budget and held > 0, fast] += 1
+        neg = SNot(SAllOf(tuple(_object_op(rng) for _ in range(rng.randint(2, 4)))))
+        fast = all_cs(c, neg, NormContext(env), fast=True).is_false
+        assert fast == all_cs(c, neg, NormContext(env)).is_false, (c, neg)
+        seen["negated allOf", fast] += 1
+    # both answers occur for both operators, on objects under a field budget
+    # that already hold requirements too
+    for op in ("SPatternReq", "SPatternProps"):
+        for with_budget in (False, True):
+            assert seen[op, with_budget, True] and seen[op, with_budget, False], seen
+    assert seen["negated allOf", True] and seen["negated allOf", False], seen
 
 
 def test_stats_dict_shape():

@@ -26,13 +26,13 @@ from _family import gen_pair
 DIGEST = "f226897ce8927be71952ed7ca3661043bf2b79d4f974fff2362816e55de7660b"
 
 TOTALS = {
-    "steps": 1_120_065,
-    "fast_path_hits": 35_195,
-    "fast_path_misses": 55_380,
-    "crefs_created": 8_268,
-    "memo_hits": 44_889,
+    "steps": 1_084_041,
+    "fast_path_hits": 35_159,
+    "fast_path_misses": 55_368,
+    "crefs_created": 8_222,
+    "memo_hits": 44_597,
     "max_disjuncts": 21_636,
-    "cs_calls": 488_801,
+    "cs_calls": 475_603,
     "gen_rounds": 3_412,
     "gen_budget_hits": 0,
     "generation_invoked": 2_673,

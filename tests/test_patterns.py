@@ -171,6 +171,28 @@ def test_p_examples_past_a_long_prefix():
     assert got == ["a" * 20, "\x00" + "a" * 20, "\x01" + "a" * 20]
 
 
+# the first five members, as recorded before the live states were kept on
+# the automaton; fewer members are their prefixes
+FIRST_FIVE = [
+    (P.regex("^[ab]$"), ["a", "b"]),
+    (P.regex("a+b"), ["ab", "\x00ab", "\x01ab", "\x02ab", "\x03ab"]),
+    (P.regex("^(ab|c)*$"), ["", "c", "ab", "cc", "abc"]),
+    (P.p_not(P.p_or(P.key(""), P.key("a"))), ["\x00", "\x01", "\x02", "\x03", "\x04"]),
+    (P.p_and(P.min_len(2), P.regex("^x")), ["x\x00", "x\x01", "x\x02", "x\x03", "x\x04"]),
+    (P.key("a"), ["a"]),
+    (P.BOTTOM, []),
+]
+
+
+def test_p_examples_unchanged_with_the_live_states_kept():
+    for e, first in FIRST_FIVE:
+        for k in range(1, 6):
+            assert P.p_examples(e, k) == first[:k], (e, k)
+        # the automaton is shared through the compile cache, and so is its
+        # set of live states
+        assert P.compile_pattern(e).live is P.compile_pattern(e).live
+
+
 def test_emptiness_decision():
     assert P.p_is_empty(P.p_and(P.key("a"), P.key("b")))
     assert P.p_is_empty(P.p_diff(P.regex("^ab$"), P.regex("^a")))
