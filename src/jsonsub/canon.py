@@ -7,10 +7,12 @@ disjuncts keep per-index slots, one tail constraint, containment
 obligations at or past the tail start, and length bounds; number
 disjuncts keep one interval, one combined factor, and excluded factors.
 
-The negation rewrite pushes a single negation one level down. oneOf is
+The negation rewrite pushes a single negation one level down: a negated
+type-guarded operator becomes its type (OP_TYPE) plus its dual, the
+operators that hold on that type exactly where it fails. oneOf is
 expanded into anyOf over exclusive conjunctions before normalization,
-and stratification replaces every structural argument with a singleton
-reference so that normalization only ever meets references there.
+and stratification replaces every structural argument with a single-name
+reference, so that normalization only ever meets references there.
 """
 
 from __future__ import annotations
@@ -291,8 +293,20 @@ def conj_type(c: Conj) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # Negation, pushed one level
 
+# The JSON type of each type-guarded operator, which holds on every value
+# of any other type
+OP_TYPE: dict[type, str] = {
+    **dict.fromkeys((SPatternProps, SPatternReq, SMinProps, SMaxProps), "object"),
+    **dict.fromkeys((SItemAt, SItemsFrom, SContainsFrom, SMinItems, SMaxItems), "array"),
+    **dict.fromkeys((SUniqueItems, SRepeatedItems), "array"),
+    **dict.fromkeys((SMinimum, SMaximum, SMultipleOf, SNotMultipleOf), "number"),
+    SPattern: "string",
+}
 
-def not_push(s: Schema, env: Env) -> Schema:
+
+def not_push(s: Schema) -> Schema:
+    if type(s) in OP_TYPE:
+        return s_all_of((SType(OP_TYPE[type(s)]), dual(s)))
     if isinstance(s, SBool):
         return FALSE if s.value else TRUE
     if isinstance(s, SNot):
@@ -315,55 +329,51 @@ def not_push(s: Schema, env: Env) -> Schema:
         return s_type_set(ALL_TYPES - {s.name})
     if isinstance(s, STypeSet):
         return s_type_set(ALL_TYPES - s.names)
-    if isinstance(s, SPatternProps):
-        return s_all_of((SType("object"), SPatternReq(s.pattern, _negate_arg(s.schema, env))))
-    if isinstance(s, SPatternReq):
-        return s_all_of((SType("object"), SPatternProps(s.pattern, _negate_arg(s.schema, env))))
-    if isinstance(s, SMinProps):
-        if s.bound == 0:
-            return FALSE
-        return s_all_of((SType("object"), SMaxProps(s.bound - 1)))
-    if isinstance(s, SMaxProps):
-        return s_all_of((SType("object"), SMinProps(s.bound + 1)))
-    if isinstance(s, SItemAt):
-        return s_all_of(
-            (SType("array"), SItemAt(s.index, _negate_arg(s.schema, env)), SMinItems(s.index + 1))
-        )
-    if isinstance(s, SItemsFrom):
-        return s_all_of((SType("array"), SContainsFrom(s.index, _negate_arg(s.schema, env))))
-    if isinstance(s, SContainsFrom):
-        return s_all_of((SType("array"), SItemsFrom(s.index, _negate_arg(s.schema, env))))
-    if isinstance(s, SMinItems):
-        if s.bound == 0:
-            return FALSE
-        return s_all_of((SType("array"), SMaxItems(s.bound - 1)))
-    if isinstance(s, SMaxItems):
-        return s_all_of((SType("array"), SMinItems(s.bound + 1)))
-    if isinstance(s, SUniqueItems):
-        return s_all_of((SType("array"), SRepeatedItems()))
-    if isinstance(s, SRepeatedItems):
-        return s_all_of((SType("array"), SUniqueItems()))
-    if isinstance(s, SMinimum):
-        return s_all_of((SType("number"), SMaximum(s.bound, not s.exclusive)))
-    if isinstance(s, SMaximum):
-        return s_all_of((SType("number"), SMinimum(s.bound, not s.exclusive)))
-    if isinstance(s, SMultipleOf):
-        return s_all_of((SType("number"), SNotMultipleOf(s.factor)))
-    if isinstance(s, SNotMultipleOf):
-        return s_all_of((SType("number"), SMultipleOf(s.factor)))
-    if isinstance(s, SPattern):
-        return s_all_of((SType("string"), SPattern(P.p_not(s.pattern))))
     raise AssertionError(f"no negation rule for {s!r}")
 
 
-def _negate_arg(s: Schema, env: Env) -> Schema:
-    """Negate a structural argument, staying in singleton-reference form."""
-    if isinstance(s, SRef):
-        if s.ref.is_empty:
-            return SRef(env.false_ref())
-        if len(s.ref.members) == 1:
-            return SRefSingle(next(iter(s.ref.members)).negate())
-        return s_any_of(SRefSingle(m.negate()) for m in s.ref.sorted_members())
+def dual(s: Schema) -> Schema:
+    """The operators that, on values of type OP_TYPE[type(s)], hold exactly
+    where the type-guarded operator s fails."""
+    if isinstance(s, SPatternProps):
+        return SPatternReq(s.pattern, _negate_arg(s.schema))
+    if isinstance(s, SPatternReq):
+        return SPatternProps(s.pattern, _negate_arg(s.schema))
+    if isinstance(s, SMinProps):
+        return SMaxProps(s.bound - 1) if s.bound else FALSE
+    if isinstance(s, SMaxProps):
+        return SMinProps(s.bound + 1)
+    if isinstance(s, SItemAt):
+        return SAllOf((SItemAt(s.index, _negate_arg(s.schema)), SMinItems(s.index + 1)))
+    if isinstance(s, SItemsFrom):
+        return SContainsFrom(s.index, _negate_arg(s.schema))
+    if isinstance(s, SContainsFrom):
+        return SItemsFrom(s.index, _negate_arg(s.schema))
+    if isinstance(s, SMinItems):
+        return SMaxItems(s.bound - 1) if s.bound else FALSE
+    if isinstance(s, SMaxItems):
+        return SMinItems(s.bound + 1)
+    if isinstance(s, SUniqueItems):
+        return SRepeatedItems()
+    if isinstance(s, SRepeatedItems):
+        return SUniqueItems()
+    if isinstance(s, SMinimum):
+        return SMaximum(s.bound, not s.exclusive)
+    if isinstance(s, SMaximum):
+        return SMinimum(s.bound, not s.exclusive)
+    if isinstance(s, SMultipleOf):
+        return SNotMultipleOf(s.factor)
+    if isinstance(s, SNotMultipleOf):
+        return SMultipleOf(s.factor)
+    if isinstance(s, SPattern):
+        return SPattern(P.p_not(s.pattern))
+    raise AssertionError(f"{s!r} is not a type-guarded operator")
+
+
+def _negate_arg(s: Schema) -> Schema:
+    """Negate a structural argument; a stratified one is a single name."""
+    if isinstance(s, SRef) and len(s.ref.members) == 1:
+        return SRefSingle(next(iter(s.ref.members)).negate())
     return s_not(s)
 
 
@@ -416,10 +426,8 @@ class _Stratifier:
         return name
 
     def arg(self, s: Schema) -> Schema:
-        if isinstance(s, SRef):
-            return s
         body = self.walk(s)
-        if isinstance(body, SRef):
+        if isinstance(body, SRef) and len(body.ref.members) == 1:
             return body
         return SRefSingle(self.name_for(body))
 

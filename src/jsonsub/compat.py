@@ -6,8 +6,8 @@ document-local $ref targets are resolved. Annotation keywords carry no
 constraints and are ignored; $ref siblings are ignored as Draft-06
 prescribes. integer becomes number restricted to a whole-number factor.
 
-Serialization emits plain Draft-06 again. Operators without a direct
-keyword are encoded through small anyOf/not combinations; property-name
+Serialization emits plain Draft-06 again. An operator without a keyword
+of its own is written as "off its type, or not its dual"; property-name
 patterns that are not a literal key or an original regex are rendered by
 extracting an anchored regex from their automaton.
 """
@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import patterns as P
+from .canon import OP_TYPE, dual
 from .errors import MalformedSchema, UnresolvableRef, UnsupportedKeyword
 from .model import (
     Document,
@@ -387,6 +388,10 @@ class _Serializer:
         return target
 
     def schema(self, s: Schema) -> Any:
+        if isinstance(s, (SRepeatedItems, SNotMultipleOf)) or (
+            isinstance(s, SContainsFrom) and s.index > 0
+        ):
+            return self.by_dual(s)
         if isinstance(s, SBool):
             return s.value
         if isinstance(s, SRef):
@@ -429,32 +434,19 @@ class _Serializer:
                 return {"items": self.schema(s.schema)}
             return {"items": [True] * s.index, "additionalItems": self.schema(s.schema)}
         if isinstance(s, SContainsFrom):
-            if s.index == 0:
-                return {"contains": self.schema(s.schema)}
-            # some element at or past the index: not (array of at most index
-            # leading elements with everything past it failing the schema)
-            inner = {
-                "items": [True] * s.index,
-                "additionalItems": {"not": self.schema(s.schema)},
-            }
-            return {"anyOf": [{"not": {"type": "array"}}, {"not": inner}]}
+            return {"contains": self.schema(s.schema)}
         if isinstance(s, SMinItems):
             return {"minItems": s.bound}
         if isinstance(s, SMaxItems):
             return {"maxItems": s.bound}
         if isinstance(s, SUniqueItems):
             return {"uniqueItems": True}
-        if isinstance(s, SRepeatedItems):
-            # vacuous off type, so the not-wrapper needs the type escape
-            return {"anyOf": [{"not": {"type": "array"}}, {"not": {"uniqueItems": True}}]}
         if isinstance(s, SMinimum):
             return {"exclusiveMinimum" if s.exclusive else "minimum": s.bound}
         if isinstance(s, SMaximum):
             return {"exclusiveMaximum" if s.exclusive else "maximum": s.bound}
         if isinstance(s, SMultipleOf):
             return {"multipleOf": s.factor}
-        if isinstance(s, SNotMultipleOf):
-            return {"anyOf": [{"not": {"type": "number"}}, {"not": {"multipleOf": s.factor}}]}
         if isinstance(s, SPattern):
             return self.string_pattern(s.pattern)
         raise AssertionError(f"cannot serialize {s!r}")
@@ -478,9 +470,12 @@ class _Serializer:
             if sub is not True:
                 body["properties"] = {lit: sub}
             return body
-        src = s.pattern.source if isinstance(s.pattern, P.PRegex) else P.regex_source(s.pattern)
-        inner = {"patternProperties": {src: {"not": self.schema(s.schema)}}}
-        return {"anyOf": [{"not": {"type": "object"}}, {"not": inner}]}
+        return self.by_dual(s)
+
+    def by_dual(self, s: Schema) -> Any:
+        """A type-guarded operator with no keyword of its own: a value off
+        its type, or one that fails its dual."""
+        return {"anyOf": [{"not": {"type": OP_TYPE[type(s)]}}, {"not": self.schema(dual(s))}]}
 
     def string_pattern(self, e: P.PatternExpr) -> Any:
         if isinstance(e, P.PRegex):

@@ -322,12 +322,12 @@ def check_inclusion_terms(
     satisfies s1 and violates s2 under `satisfies`.
     """
     work = env.copy()
-    doc = Document(s_all_of((s1, s_not(s2))), work)
-    problems = well_formed(doc)
+    # both inputs, before the smart constructor can fold one of them away
+    problems = well_formed(Document(SAllOf((s1, s2)), work))
     if problems:
         raise MalformedSchema("; ".join(problems))
 
-    doc = expand_oneof_doc(doc)
+    doc = expand_oneof_doc(Document(s_all_of((s1, s_not(s2))), work))
     doc = stratify(doc)
 
     ctx = NormContext(doc.env, max_steps=max_steps, timeout=timeout)

@@ -12,7 +12,8 @@ and builds no conjunction: it stops at the first live outcome.
 Two canonical conjunctions are intersected by one routine, meet. A type,
 constant, number or string operator enters as its own canonical
 disjuncts and meets the conjunction; an object or array operator is
-inserted into it.
+inserted into it. A negated type-guarded operator enters as its type,
+which the conjunction meets first, plus its dual (canon.dual).
 
 Reference sets are combined through a memo table on the normalization
 context, which one public routine, memo_dnf, reads and fills for the
@@ -50,9 +51,11 @@ from .canon import (
     D_TRUE,
     Dnf,
     Fragment,
+    OP_TYPE,
     any_dd,
     conj_ops,
     conj_type,
+    dual,
     not_push,
     sort_reqs,
 )
@@ -169,6 +172,10 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     if isinstance(s, SRef):
         return _conj_with_ref(c, s.ref, ctx, fast)
     if isinstance(s, SNot):
+        t = OP_TYPE.get(type(s.item))
+        if t is not None:
+            d = meet(c, _ONLY[t], ctx)
+            return all_cs(d.conjs[0], dual(s.item), ctx, fast) if d.conjs else D_FALSE
         if fast and isinstance(s.item, SAllOf):
             # live when one negated conjunct is; their union is never built
             for item in s.item.items:
@@ -176,7 +183,7 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
                 if d.conjs:
                     return d
             return D_FALSE
-        return all_cs(c, not_push(s.item, ctx.env), ctx, fast)
+        return all_cs(c, not_push(s.item), ctx, fast)
     if isinstance(s, SAnyOf):
         parts = []
         for item in s.items:
@@ -304,7 +311,8 @@ def meet(c: Conj, c2: Conj, ctx: NormContext) -> Dnf:
     return d
 
 
-# every value not of the given type
+# every value of the given type, and every value not of it
+_ONLY = {t: CTypeSet(frozenset((t,))) for t in ALL_TYPES}
 _OFF = {t: CTypeSet(ALL_TYPES - {t}) for t in ALL_TYPES}
 
 
@@ -312,7 +320,7 @@ def _scalar_dnf(k: Schema) -> Dnf:
     """A type, constant, number or string operator as canonical
     disjuncts. Number and string operators hold vacuously off their type."""
     if isinstance(k, SType):
-        return Dnf((CTypeSet(frozenset((k.name,))),))
+        return Dnf((_ONLY[k.name],))
     if isinstance(k, STypeSet):
         return Dnf((CTypeSet(k.names),))
     if isinstance(k, SConst):
@@ -343,25 +351,10 @@ def _scalar_dnf(k: Schema) -> Dnf:
     return Dnf((_OFF[conj_type(c2)], c2))
 
 
-_CONTAINER_TYPE = {
-    SPatternProps: "object",
-    SPatternReq: "object",
-    SMinProps: "object",
-    SMaxProps: "object",
-    SItemAt: "array",
-    SItemsFrom: "array",
-    SContainsFrom: "array",
-    SMinItems: "array",
-    SMaxItems: "array",
-    SUniqueItems: "array",
-    SRepeatedItems: "array",
-}
-
-
 def all_ck(c: Conj, k: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     ctx.tick()
-    k_type = _CONTAINER_TYPE.get(type(k))
-    if k_type is None:
+    k_type = OP_TYPE.get(type(k))
+    if k_type not in ("object", "array"):
         d = _flat_map(_scalar_dnf(k), lambda c2: meet(c, c2, ctx))
         ctx.note_width(len(d.conjs))
         return d

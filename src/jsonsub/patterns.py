@@ -921,10 +921,6 @@ def _product_is_empty(a: PatternExpr, b: PatternExpr, negate_b: bool) -> bool:
     return not _product(compile_pattern(a), compile_pattern(b), keep).accepting
 
 
-def p_equiv(a: PatternExpr, b: PatternExpr) -> bool:
-    return p_subset(a, b) and p_subset(b, a)
-
-
 def p_example(e: PatternExpr) -> Optional[str]:
     """Shortest member, ties broken by smallest code points; None if empty."""
     got = p_examples(e, 1)

@@ -18,13 +18,14 @@ from jsonsub.canon import (
     CObject,
     CString,
     CTypeSet,
+    OP_TYPE,
     conj_to_schema,
     expand_oneof,
     expand_oneof_doc,
     not_push,
     stratify,
 )
-from jsonsub.engine import UniverseParams, iter_universe, satisfies
+from jsonsub.engine import UniverseParams, compile_validator, iter_universe, satisfies
 from jsonsub.model import (
     Document,
     Env,
@@ -55,6 +56,7 @@ from jsonsub.model import (
     TRUE,
     s_not,
 )
+from jsonsub.values import json_type
 
 UNIVERSE = list(
     iter_universe(
@@ -123,18 +125,32 @@ TERMS = [
 @pytest.mark.parametrize("term", TERMS, ids=[type(t).__name__ + str(i) for i, t in enumerate(TERMS)])
 def test_not_push_complements_exactly(term):
     env = Env()
-    pushed = not_push(term, env)
+    pushed = not_push(term)
     for v in UNIVERSE:
         assert satisfies(v, pushed, env) == (not satisfies(v, term, env)), v
+
+
+TYPED_TERMS = [t for t in TERMS if type(t) in OP_TYPE]
+
+
+@pytest.mark.parametrize(
+    "term", TYPED_TERMS, ids=[type(t).__name__ + str(i) for i, t in enumerate(TYPED_TERMS)]
+)
+def test_typed_operators_hold_off_their_type(term):
+    # the table agrees with the evaluator's type guards
+    env = Env()
+    holds = compile_validator(term, env)
+    off = [v for v in UNIVERSE if json_type(v) != OP_TYPE[type(term)]]
+    assert off and all(holds(v) for v in off)
 
 
 def test_not_push_involution_on_double_negation():
     env = Env()
     t = SAllOf((SType("array"), SMinItems(1)))
-    once = not_push(t, env)
-    twice = not_push(SNot(once) if not isinstance(once, SNot) else once.item, env)
+    once = not_push(t)
+    twice = not_push(SNot(once) if not isinstance(once, SNot) else once.item)
     for v in UNIVERSE:
-        assert satisfies(v, t, env) == satisfies(v, s_not(not_push(t, env)), env)
+        assert satisfies(v, t, env) == satisfies(v, s_not(not_push(t)), env)
 
 
 ONEOF_TERMS = [

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from jsonsub import engine
+from jsonsub import patterns as P
 from jsonsub.engine import (
     OracleOutcome,
     UniverseParams,
@@ -26,7 +27,19 @@ from jsonsub.engine import (
 )
 from jsonsub.errors import BudgetExceeded, MalformedSchema, UniverseTooLarge
 from jsonsub.families import rec_depth
-from jsonsub.model import Env, RefName, SRefSingle, SType
+from jsonsub.model import (
+    FALSE,
+    TRUE,
+    CRef,
+    Env,
+    RefName,
+    SItemsFrom,
+    SMinimum,
+    SPatternProps,
+    SRef,
+    SRefSingle,
+    SType,
+)
 from jsonsub.values import canonical_key, dump_json, parse_json
 
 from _family import gen_pair, gen_schema, universe_for
@@ -664,6 +677,24 @@ def test_unguarded_mutual_cycle_rejected():
         check_inclusion(exact(node), exact(True))
 
 
+_A, _ZZ = RefName("#/a"), RefName("#zz")
+
+
+@pytest.mark.parametrize(
+    "left, right, env",
+    [
+        (SRefSingle(_A), TRUE, Env({_A: SRefSingle(_A)})),
+        (FALSE, SRefSingle(_A), Env({_A: SRefSingle(_A)})),
+        (SRefSingle(_ZZ), TRUE, Env()),
+    ],
+    ids=["cycle-left", "cycle-right", "unbound-left"],
+)
+def test_terms_api_checks_both_inputs(left, right, env):
+    # left and not right folds to one of them here; both must still be checked
+    with pytest.raises(MalformedSchema):
+        check_inclusion_terms(left, right, env)
+
+
 def test_budget_error_carries_partial_stats():
     left, right = (
         exact({"anyOf": [{"minimum": i} for i in range(10)]}),
@@ -709,6 +740,21 @@ def test_negated_reference_checks_without_a_bound_twin():
     res = check_inclusion_terms(SRefSingle(x.negate()), SType("string"), env)
     assert res.verdict == "not_included"
     assert env.bindings == before
+
+
+def test_structural_arguments_naming_several_references():
+    # stratification names the set, so negating the argument negates one name
+    a, b = RefName("#/a"), RefName("#/b")
+    env = Env({a: SType("number"), b: SMinimum(Fraction(1))})
+    both = SRef(CRef((a, b)))
+    for right, witness in (
+        (SPatternProps(P.key("x"), both), {"x": None}),
+        (SItemsFrom(0, both), [None]),
+    ):
+        res = check_inclusion_terms(TRUE, right, env)
+        assert (res.verdict, res.witness) == ("not_included", witness)
+    for right in (SPatternProps(P.key("x"), SRef(CRef())), SItemsFrom(0, SRef(CRef()))):
+        assert check_inclusion_terms(TRUE, right, env).included
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,24 @@ import functools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from jsonsub import canon
 from jsonsub import patterns as P
 from jsonsub.canon import (
+    OP_TYPE,
     CArray,
+    CNumber,
     CObject,
+    CString,
+    CTypeSet,
     conj_to_schema,
     conj_type,
     dnf_to_schema,
     expand_oneof_doc,
+    not_push,
     stratify,
 )
 from jsonsub.engine import (
@@ -33,18 +39,31 @@ from jsonsub.engine import (
 from jsonsub.errors import BudgetExceeded
 from jsonsub.families import make_pair, rec_depth
 from jsonsub.model import (
+    ALL_TYPES,
     TRUE,
     Document,
     Env,
     RefName,
     SAllOf,
+    SContainsFrom,
+    SItemAt,
+    SItemsFrom,
+    SMaxItems,
     SMaxProps,
+    SMaximum,
+    SMinItems,
     SMinProps,
+    SMinimum,
+    SMultipleOf,
     SNot,
+    SNotMultipleOf,
+    SPattern,
     SPatternProps,
     SPatternReq,
     SRefSingle,
+    SRepeatedItems,
     SType,
+    SUniqueItems,
 )
 from jsonsub.norm import NormContext, all_ck, all_cs, dnf_of, meet, prepare
 from jsonsub.values import parse_json
@@ -269,6 +288,80 @@ def test_fast_insertion_is_false_exactly_when_the_full_one_is():
         for with_budget in (False, True):
             assert seen[op, with_budget, True] and seen[op, with_budget, False], seen
     assert seen["negated allOf", True] and seen["negated allOf", False], seen
+
+
+def _typed_ops(rng):
+    """One of every type-guarded operator, arguments stratified to one name."""
+    def arg():
+        return rng.choice(_ARGS)
+
+    def n():
+        return rng.randint(0, 3)
+
+    def q():
+        return Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+
+    def factor():
+        return Fraction(rng.randint(1, 4), rng.choice((1, 2)))
+
+    return [
+        SPatternProps(rng.choice(_NAME_SETS), arg()),
+        SPatternReq(rng.choice(_NAME_SETS), arg()),
+        SMinProps(n()),
+        SMaxProps(n()),
+        SItemAt(n(), arg()),
+        SItemsFrom(n(), arg()),
+        SContainsFrom(n(), arg()),
+        SMinItems(n()),
+        SMaxItems(n()),
+        SUniqueItems(),
+        SRepeatedItems(),
+        SMinimum(q(), rng.random() < 0.5),
+        SMaximum(q(), rng.random() < 0.5),
+        SMultipleOf(factor()),
+        SNotMultipleOf(factor()),
+        SPattern(rng.choice(_NAME_SETS)),
+    ]
+
+
+def _seeded_conjs(rng, env):
+    """A type set, and an object, array, number and string each reached by
+    inserting a few seeded operators of its type."""
+    ctx = NormContext(env)
+    types = sorted(ALL_TYPES)
+    out = [CTypeSet(frozenset(rng.sample(types, rng.randint(1, len(types))))),
+           _seeded_object(rng, env)]
+    for c in (CArray(), CNumber(), CString(P.TOP)):
+        ops = [k for k in _typed_ops(rng) if OP_TYPE[type(k)] == conj_type(c)]
+        for _ in range(rng.randint(0, 4)):
+            d = all_ck(c, rng.choice(ops), ctx)
+            if d.is_false:
+                break
+            c = rng.choice(d.conjs)
+        out.append(c)
+    return out
+
+
+def test_negated_operator_enters_as_its_type_and_dual():
+    # the same disjunction as not_push's allOf of the type and the dual; a
+    # fast call is false exactly when it is, but where the dual is itself a
+    # conjunction (an item's), which fast_check probes one operator at a time
+    rng = random.Random(20261020)
+    env = Env(_BODIES)
+    seen: Counter = Counter()
+    for _ in range(40):
+        conjs = _seeded_conjs(rng, env)
+        ops = _typed_ops(rng)
+        assert {type(k) for k in ops} == set(OP_TYPE)
+        for c in conjs:
+            for k in ops:
+                got = all_cs(c, SNot(k), NormContext(env))
+                assert got == all_cs(c, not_push(k), NormContext(env)), (c, k)
+                fast = all_cs(c, SNot(k), NormContext(env), fast=True).is_false
+                assert fast == got.is_false or (isinstance(k, SItemAt) and not fast), (c, k)
+                seen[type(c).__name__, got.is_false] += 1
+    for name in ("CTypeSet", "CObject", "CArray", "CNumber", "CString"):
+        assert seen[name, True] and seen[name, False], seen
 
 
 def test_stats_dict_shape():
