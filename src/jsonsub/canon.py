@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_not
 from typing import Iterable, Optional, Sequence
 
 from . import patterns as P
@@ -61,7 +62,6 @@ from .model import (
     Schema,
     TRUE,
     child_schemas,
-    map_schema,
     rebuild,
     s_all_of,
     s_any_of,
@@ -382,17 +382,22 @@ def _negate_arg(s: Schema) -> Schema:
 
 
 def expand_oneof(s: Schema) -> Schema:
-    def rewrite(node: Schema) -> Schema:
-        if not isinstance(node, SOneOf):
-            return node
-        items = node.items
-        branches = []
-        for i, pick in enumerate(items):
-            rest = [s_not(other) for j, other in enumerate(items) if j != i]
-            branches.append(s_all_of([pick, *rest]))
-        return s_any_of(branches)
-
-    return map_schema(s, rewrite)
+    """s with every oneOf rewritten, children first, into an anyOf over
+    exclusive conjunctions. A term that holds no oneOf comes back as the
+    same object, so a parent compares its children by identity."""
+    kids = child_schemas(s)
+    if kids:
+        new_kids = tuple(map(expand_oneof, kids))
+        if any(map(is_not, new_kids, kids)):
+            s = rebuild(s, new_kids)
+    if type(s) is not SOneOf:
+        return s
+    items = s.items
+    branches = []
+    for i, pick in enumerate(items):
+        rest = [s_not(other) for j, other in enumerate(items) if j != i]
+        branches.append(s_all_of([pick, *rest]))
+    return s_any_of(branches)
 
 
 def expand_oneof_doc(doc: Document) -> Document:
@@ -432,12 +437,13 @@ class _Stratifier:
         return SRefSingle(self.name_for(body))
 
     def walk(self, s: Schema) -> Schema:
-        if isinstance(s, STRUCTURAL):
-            return rebuild(s, (self.arg(s.schema),))
+        if type(s) in STRUCTURAL:
+            arg = self.arg(s.schema)
+            return s if arg is s.schema else rebuild(s, (arg,))
         kids = child_schemas(s)
         if kids:
-            new_kids = tuple(self.walk(k) for k in kids)
-            if new_kids != kids:
+            new_kids = tuple(map(self.walk, kids))
+            if any(map(is_not, new_kids, kids)):
                 return rebuild(s, new_kids)
         return s
 

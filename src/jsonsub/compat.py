@@ -19,7 +19,7 @@ from typing import Any
 
 from . import patterns as P
 from .canon import OP_TYPE, dual
-from .errors import MalformedSchema, UnresolvableRef, UnsupportedKeyword
+from .errors import MalformedSchema, UnresolvableRef, UnsupportedFeature, UnsupportedKeyword
 from .model import (
     Document,
     Env,
@@ -61,38 +61,6 @@ from .model import (
 )
 from .values import TYPE_NAMES, is_number
 
-SUPPORTED_KEYWORDS = {
-    "type",
-    "enum",
-    "const",
-    "properties",
-    "patternProperties",
-    "additionalProperties",
-    "required",
-    "minProperties",
-    "maxProperties",
-    "items",
-    "additionalItems",
-    "contains",
-    "minItems",
-    "maxItems",
-    "uniqueItems",
-    "minimum",
-    "exclusiveMinimum",
-    "maximum",
-    "exclusiveMaximum",
-    "multipleOf",
-    "pattern",
-    "minLength",
-    "maxLength",
-    "allOf",
-    "anyOf",
-    "oneOf",
-    "not",
-    "$ref",
-    "definitions",
-}
-
 ANNOTATION_KEYWORDS = {"title", "description", "default", "examples", "$schema", "$comment"}
 
 _INTEGER = s_all_of((SType("number"), SMultipleOf(Fraction(1))))
@@ -101,11 +69,14 @@ _INTEGER = s_all_of((SType("number"), SMultipleOf(Fraction(1))))
 def parse_schema(node: Any, uri_prefix: str = "") -> Document:
     """Translate a parsed Draft-06 JSON value into a schema document."""
     parser = _Parser(node, uri_prefix)
-    root = parser.schema(node)
-    # targets are parsed after the root, in the order met (the list grows as
-    # it is read), so a $ref chain nests no calls; binding in reverse keeps
-    # the order of a parse that descended into each target where met
-    bodies = [(name, parser.schema(target)) for name, target in parser.pending]
+    try:
+        root = parser.schema(node)
+        # targets are parsed after the root, in the order met (the list grows
+        # as it is read), so a $ref chain nests no calls; binding in reverse
+        # keeps the order of a parse that descended into each target where met
+        bodies = [(name, parser.schema(target)) for name, target in parser.pending]
+    except RecursionError:
+        raise UnsupportedFeature("schema nests too deeply to parse") from None
     for name, body in reversed(bodies):
         parser.env.bind(name, body)
     return Document(root, parser.env)
@@ -166,18 +137,14 @@ class _Parser:
             # Draft-06: all other keywords beside $ref are ignored
             return SRefSingle(self.ref_target(node["$ref"]))
 
-        for kw in node:
-            if kw not in SUPPORTED_KEYWORDS and kw not in ANNOTATION_KEYWORDS:
-                raise UnsupportedKeyword(kw)
+        keys = node.keys()
+        if not keys <= _KNOWN:
+            raise UnsupportedKeyword(next(kw for kw in node if kw not in _KNOWN))
 
         conj: list[Schema] = []
-        self._types(node, conj)
-        self._consts(node, conj)
-        self._objects(node, conj)
-        self._arrays(node, conj)
-        self._numbers(node, conj)
-        self._strings(node, conj)
-        self._combinators(node, conj)
+        for group, parse in _GROUPS:
+            if not keys.isdisjoint(group):
+                parse(self, node, conj)
         return s_all_of(conj)
 
     def _types(self, node: dict, conj: list[Schema]) -> None:
@@ -317,10 +284,28 @@ class _Parser:
                 subs = node[kw]
                 if not isinstance(subs, list) or not subs:
                     raise MalformedSchema(f"{kw} must be a non-empty array")
-                parts = [self.schema(s) for s in subs]
+                parts = list(map(self.schema, subs))
                 conj.append(SOneOf(tuple(parts)) if build is None else build(parts))
         if "not" in node:
             conj.append(s_not(self.schema(node["not"])))
+
+
+# each group parser with the keywords it reads, in the order their
+# operators enter a node's conjunction; a node runs only the groups it holds
+_GROUPS = tuple((frozenset(keywords.split()), parse) for parse, keywords in (
+    (_Parser._types, "type"),
+    (_Parser._consts, "const enum"),
+    (_Parser._objects, "properties patternProperties additionalProperties required"
+                       " minProperties maxProperties"),
+    (_Parser._arrays, "items additionalItems contains minItems maxItems uniqueItems"),
+    (_Parser._numbers, "minimum exclusiveMinimum maximum exclusiveMaximum multipleOf"),
+    (_Parser._strings, "pattern minLength maxLength"),
+    (_Parser._combinators, "allOf anyOf oneOf not"),
+))
+
+# $ref stands for its whole node, and definitions are read through $ref
+SUPPORTED_KEYWORDS = frozenset({"$ref", "definitions"}).union(*(g for g, _ in _GROUPS))
+_KNOWN = SUPPORTED_KEYWORDS | ANNOTATION_KEYWORDS
 
 
 def _expect_object(node: Any, keyword: str) -> dict:

@@ -8,6 +8,9 @@ inclusion.  Whatever survives is handed to the witness generator, which
 either produces a concrete counterexample or certifies, by fixpoint, that
 none exists.  Every counterexample is re-checked against the original
 terms with the plain semantic evaluator before it is reported.
+Each document is checked for well-formedness once, as it loads
+(`load_document`); a check on raw documents does not walk them again,
+while the `*_terms` entry points check the terms they are given.
 
 The module also hosts that evaluator and a brute-force oracle
 (`oracle_included`) that enumerates a bounded value universe in a
@@ -321,13 +324,20 @@ def check_inclusion_terms(
     works on a copy.  A returned witness has already been validated: it
     satisfies s1 and violates s2 under `satisfies`.
     """
-    work = env.copy()
+    _require_well_formed(s1, s2, env)
+    return _decide(s1, s2, env, max_steps, timeout)
+
+
+def _require_well_formed(s1: Schema, s2: Schema, env: Env) -> None:
     # both inputs, before the smart constructor can fold one of them away
-    problems = well_formed(Document(SAllOf((s1, s2)), work))
+    problems = well_formed(Document(SAllOf((s1, s2)), env))
     if problems:
         raise MalformedSchema("; ".join(problems))
 
-    doc = expand_oneof_doc(Document(s_all_of((s1, s_not(s2))), work))
+
+def _decide(s1: Schema, s2: Schema, env: Env, max_steps: int, timeout: float) -> InclusionResult:
+    """check_inclusion_terms on terms already known to be well formed."""
+    doc = expand_oneof_doc(Document(s_all_of((s1, s_not(s2))), env.copy()))
     doc = stratify(doc)
 
     ctx = NormContext(doc.env, max_steps=max_steps, timeout=timeout)
@@ -360,11 +370,14 @@ def check_inclusion(
 ) -> InclusionResult:
     """Decide inclusion between two raw Draft-06 schema values."""
     s1, s2, env = _load_pair(left, right)
-    return check_inclusion_terms(s1, s2, env, max_steps=max_steps, timeout=timeout)
+    return _decide(s1, s2, env, max_steps, timeout)
 
 
 def _load_pair(left: Any, right: Any) -> tuple[Schema, Schema, Env]:
-    """Load two documents into one environment holding both documents' bindings."""
+    """Load two documents into one environment holding both documents'
+    bindings. Each is checked as it loads; their names carry different
+    prefixes, so the union joins no reference of one to the other and
+    needs no check of its own."""
     ldoc = load_document(left, "left")
     rdoc = load_document(right, "right")
     env = Env()
@@ -373,14 +386,13 @@ def _load_pair(left: Any, right: Any) -> tuple[Schema, Schema, Env]:
     return ldoc.root, rdoc.root, env
 
 
-def _relation(fwd: InclusionResult, bwd: InclusionResult) -> str:
-    if fwd.included and bwd.included:
-        return "equivalent"
-    if fwd.included:
-        return "right_not_in_left"
-    if bwd.included:
-        return "left_not_in_right"
-    return "incomparable"
+# the relation named by whether each direction is an inclusion
+_RELATIONS = {
+    (True, True): "equivalent",
+    (True, False): "right_not_in_left",
+    (False, True): "left_not_in_right",
+    (False, False): "incomparable",
+}
 
 
 def check_equivalence_terms(
@@ -391,9 +403,8 @@ def check_equivalence_terms(
     max_steps: int = DEFAULT_MAX_STEPS,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> EquivalenceResult:
-    fwd = check_inclusion_terms(s1, s2, env, max_steps=max_steps, timeout=timeout)
-    bwd = check_inclusion_terms(s2, s1, env, max_steps=max_steps, timeout=timeout)
-    return EquivalenceResult(_relation(fwd, bwd), fwd, bwd)
+    _require_well_formed(s1, s2, env)
+    return _equivalence(s1, s2, env, max_steps, timeout)
 
 
 def check_equivalence(
@@ -404,7 +415,15 @@ def check_equivalence(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> EquivalenceResult:
     s1, s2, env = _load_pair(left, right)
-    return check_equivalence_terms(s1, s2, env, max_steps=max_steps, timeout=timeout)
+    return _equivalence(s1, s2, env, max_steps, timeout)
+
+
+def _equivalence(
+    s1: Schema, s2: Schema, env: Env, max_steps: int, timeout: float
+) -> EquivalenceResult:
+    fwd = _decide(s1, s2, env, max_steps, timeout)
+    bwd = _decide(s2, s1, env, max_steps, timeout)
+    return EquivalenceResult(_RELATIONS[fwd.included, bwd.included], fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

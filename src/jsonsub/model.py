@@ -4,7 +4,11 @@ Terms are immutable. Structural operators (property, required-field,
 item, tail, containment) are vacuously satisfied by values of any other
 type; type assertions and bounds carry the actual type commitments.
 Smart constructors keep boolean combinations flat and collapse double
-negation. The environment binds positive names; a negated name reads the
+negation. They and the traversal helpers dispatch on a term's exact type
+(`type(s) is SBool`, a table from term type to children), never on
+dataclass equality or isinstance chains: term classes have no subclasses,
+and these primitives run on every node the front end builds or walks.
+The environment binds positive names; a negated name reads the
 negation of its twin's body, derived on each read and never stored.
 """
 
@@ -12,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Optional
 
 from .errors import UnresolvableRef
 from .patterns import PatternExpr
@@ -42,8 +47,11 @@ class CRef:
         members = frozenset(members)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_hash", hash(members))
-        # a name and its negation share a uri; read far more often than built
-        object.__setattr__(self, "has_clash", len({m.uri for m in members}) < len(members))
+        # a name and its negation share a uri; read far more often than built,
+        # and most sets are built from one name
+        object.__setattr__(
+            self, "has_clash", len(members) > 1 and len({m.uri for m in members}) < len(members)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CRef) and self.members == other.members
@@ -269,11 +277,12 @@ class SPattern(Schema):
 def s_all_of(items: Iterable[Schema]) -> Schema:
     flat: list[Schema] = []
     for it in items:
-        if it is TRUE or it == TRUE:
-            continue
-        if it is FALSE or it == FALSE:
+        t = type(it)
+        if t is SBool:
+            if it.value:
+                continue
             return FALSE
-        if isinstance(it, SAllOf):
+        if t is SAllOf:
             flat.extend(it.items)
         else:
             flat.append(it)
@@ -287,11 +296,12 @@ def s_all_of(items: Iterable[Schema]) -> Schema:
 def s_any_of(items: Iterable[Schema]) -> Schema:
     flat: list[Schema] = []
     for it in items:
-        if it == FALSE:
+        t = type(it)
+        if t is SBool:
+            if it.value:
+                return TRUE
             continue
-        if it == TRUE:
-            return TRUE
-        if isinstance(it, SAnyOf):
+        if t is SAnyOf:
             flat.extend(it.items)
         else:
             flat.append(it)
@@ -303,12 +313,11 @@ def s_any_of(items: Iterable[Schema]) -> Schema:
 
 
 def s_not(item: Schema) -> Schema:
-    if isinstance(item, SNot):
+    t = type(item)
+    if t is SNot:
         return item.item
-    if item == TRUE:
-        return FALSE
-    if item == FALSE:
-        return TRUE
+    if t is SBool:
+        return FALSE if item.value else TRUE
     return SNot(item)
 
 
@@ -325,61 +334,57 @@ def s_type_set(names: Iterable[str]) -> Schema:
 # Traversal helpers
 
 
+STRUCTURAL = (SPatternProps, SPatternReq, SItemAt, SItemsFrom, SContainsFrom)
+
+# the children of every term type that has any
+_CHILDREN: dict[type, Callable[[Schema], tuple[Schema, ...]]] = {
+    **dict.fromkeys((SAllOf, SAnyOf, SOneOf), attrgetter("items")),
+    SNot: lambda s: (s.item,),
+    **dict.fromkeys(STRUCTURAL, lambda s: (s.schema,)),
+}
+
+
 def child_schemas(s: Schema) -> tuple[Schema, ...]:
-    if isinstance(s, (SAllOf, SAnyOf, SOneOf)):
-        return s.items
-    if isinstance(s, SNot):
-        return (s.item,)
-    if isinstance(s, (SPatternProps, SPatternReq, SItemAt, SItemsFrom, SContainsFrom)):
-        return (s.schema,)
-    return ()
+    kids = _CHILDREN.get(type(s))
+    return () if kids is None else kids(s)
 
 
 def rebuild(s: Schema, kids: tuple[Schema, ...]) -> Schema:
-    if isinstance(s, SAllOf):
+    t = type(s)
+    if t is SAllOf:
         return s_all_of(kids)
-    if isinstance(s, SAnyOf):
+    if t is SAnyOf:
         return s_any_of(kids)
-    if isinstance(s, SOneOf):
+    if t is SOneOf:
         return SOneOf(kids)
-    if isinstance(s, SNot):
+    if t is SNot:
         return s_not(kids[0])
-    if isinstance(s, SPatternProps):
-        return SPatternProps(s.pattern, kids[0])
-    if isinstance(s, SPatternReq):
-        return SPatternReq(s.pattern, kids[0])
-    if isinstance(s, SItemAt):
-        return SItemAt(s.index, kids[0])
-    if isinstance(s, SItemsFrom):
-        return SItemsFrom(s.index, kids[0])
-    if isinstance(s, SContainsFrom):
-        return SContainsFrom(s.index, kids[0])
+    if t is SPatternProps or t is SPatternReq:
+        return t(s.pattern, kids[0])
+    if t in STRUCTURAL:
+        return t(s.index, kids[0])
     raise AssertionError(f"{s!r} has no children")
 
 
-def map_schema(s: Schema, f) -> Schema:
-    """Bottom-up rewrite: children first, then f on the rebuilt node."""
-    kids = child_schemas(s)
-    if kids:
-        new_kids = tuple(map_schema(k, f) for k in kids)
-        if new_kids != kids:
-            s = rebuild(s, new_kids)
-    return f(s)
-
-
-STRUCTURAL = (SPatternProps, SPatternReq, SItemAt, SItemsFrom, SContainsFrom)
-
-
-def iter_refs(s: Schema, guarded: bool = False) -> Iterator[tuple[RefName, bool]]:
-    """All reference names in s, with a flag telling whether the occurrence
-    sits under at least one structural operator."""
-    if isinstance(s, SRef):
-        for name in s.ref.members:
-            yield (name, guarded)
-        return
-    under = guarded or isinstance(s, STRUCTURAL)
-    for kid in child_schemas(s):
-        yield from iter_refs(kid, under)
+def iter_refs(s: Schema, guarded: bool = False) -> list[tuple[RefName, bool]]:
+    """All reference names in s in depth-first order, each with a flag
+    telling whether the occurrence sits under at least one structural
+    operator. The walk keeps its own stack, so deep terms nest no calls."""
+    out: list[tuple[RefName, bool]] = []
+    stack = [(s, guarded)]
+    while stack:
+        node, under = stack.pop()
+        t = type(node)
+        if t is SRef:
+            for name in node.ref.members:
+                out.append((name, under))
+            continue
+        kids = _CHILDREN.get(t)
+        if kids is not None:
+            under = under or t in STRUCTURAL
+            for kid in reversed(kids(node)):
+                stack.append((kid, under))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@ TYPE_NAMES = ("null", "boolean", "number", "string", "array", "object")
 
 
 def parse_json(text: str) -> Any:
-    """Parse JSON text into a tree whose numbers are Fractions."""
-    raw = json.loads(text, parse_float=Decimal)
-    return _exactify(raw)
+    """Parse JSON text into a tree whose numbers are Fractions. Text nested
+    deeper than the interpreter's stack allows is a ValueError, as any
+    other text that cannot be read."""
+    try:
+        return _exactify(json.loads(text, parse_float=Decimal))
+    except RecursionError:
+        raise ValueError("JSON text nests too deeply to parse") from None
 
 
 def _exactify(node: Any) -> Any:

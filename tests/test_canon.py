@@ -226,6 +226,24 @@ def test_expand_oneof_doc_rewrites_bindings():
         )
 
 
+def test_rewrites_return_a_term_with_nothing_to_rewrite_as_it_is():
+    from jsonsub.model import RefName, SRefSingle
+
+    x = SRefSingle(RefName("#/x"))
+    props = SPatternProps(P.key("a"), x)
+    term = SAnyOf((SAllOf((NUM, props)), SNot(SItemAt(0, x)), SContainsFrom(1, x)))
+    # no oneOf, and every structural argument is a single name already
+    assert expand_oneof(term) is term
+    for s in (term, props, NUM):
+        assert expand_oneof(s) is s
+        assert stratify(Document(s, Env({RefName("#/x"): NUM}))).root is s
+    # a rewrite below keeps the siblings it did not touch
+    mixed = SAllOf((props, SOneOf((NUM, STR))))
+    assert expand_oneof(mixed).items[0] is props
+    out = stratify(Document(SAllOf((props, SItemAt(0, NUM))), Env()))
+    assert out.root.items[0] is props and out.root.items[1] != SItemAt(0, NUM)
+
+
 FRESH_CONJS = [
     C_TRUE,
     CTypeSet(frozenset({"string", "null"})),

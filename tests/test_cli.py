@@ -367,3 +367,14 @@ def test_synth_manifest_accumulates_and_runs(tmp_path, capsys):
 def test_unknown_family_rejected():
     with pytest.raises(SystemExit):
         main(["synth", "nosuch", "3", "--out-dir", "/tmp/x"])
+
+
+def test_check_on_a_too_deeply_nested_file_is_an_input_error(tmp_path, capsys):
+    deep = {"type": "string"}
+    for _ in range(600):
+        deep = {"not": deep}
+    left = put(tmp_path, "deep.json", deep)
+    right = put(tmp_path, "right.json", {"type": "string"})
+    assert main(["check", left, right]) == 2
+    err = capsys.readouterr().err
+    assert "too deeply" in err and "internal error" not in err

@@ -137,6 +137,20 @@ def test_unknown_keyword_is_flagged():
         parse_schema({"dependencies": {"a": ["b"]}})
 
 
+def test_the_first_unknown_keyword_is_named():
+    with pytest.raises(UnsupportedKeyword) as err:
+        parse_schema({"type": "object", "if": {}, "then": {}, "title": "t"})
+    assert err.value.keyword == "if"
+
+
+def test_each_supported_keyword_belongs_to_one_group():
+    from jsonsub.compat import _GROUPS, SUPPORTED_KEYWORDS
+
+    grouped = [kw for group, _ in _GROUPS for kw in group]
+    assert len(grouped) == len(set(grouped)) == len(SUPPORTED_KEYWORDS) - 2
+    assert "dependencies" not in SUPPORTED_KEYWORDS and "$ref" in SUPPORTED_KEYWORDS
+
+
 def test_const_container_is_flagged():
     with pytest.raises(UnsupportedKeyword):
         parse_schema({"const": [1]})

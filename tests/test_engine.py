@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
@@ -25,7 +26,7 @@ from jsonsub.engine import (
     oracle_included,
     satisfies_value,
 )
-from jsonsub.errors import BudgetExceeded, MalformedSchema, UniverseTooLarge
+from jsonsub.errors import BudgetExceeded, MalformedSchema, UniverseTooLarge, UnsupportedFeature
 from jsonsub.families import rec_depth
 from jsonsub.model import (
     FALSE,
@@ -808,3 +809,91 @@ def test_check_on_a_long_alias_chain():
     chain, string = _alias_chain(190), {"type": "string"}
     assert _on_fresh_stack(check_inclusion, chain, string).included
     assert _on_fresh_stack(check_inclusion, string, chain).included
+
+
+# ---------------------------------------------------------------------------
+# each document is walked for well-formedness once, as it loads
+
+UNGUARDED = {
+    "$ref": "#/definitions/a",
+    "definitions": {"a": {"anyOf": [{"$ref": "#/definitions/a"}, {"type": "null"}]}},
+}
+
+
+@pytest.mark.parametrize("check", [check_inclusion, check_equivalence])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_an_unguarded_cycle_on_either_side_is_malformed(check, side):
+    pair = {"left": {"type": "string"}, "right": {"type": "string"}, side: UNGUARDED}
+    with pytest.raises(MalformedSchema, match="unguarded reference cycle"):
+        check(exact(pair["left"]), exact(pair["right"]))
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    """Wrap engine functions, as the benchmark's tracer does, and count
+    the calls that go through them."""
+    counts: Counter = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    return counts
+
+
+def test_well_formed_runs_once_per_document(monkeypatch):
+    counts = _count_calls(monkeypatch, ["well_formed"])
+    left, right = map(exact, rec_depth(8))
+    check_inclusion(left, right)
+    assert counts["well_formed"] == 2
+    check_equivalence(left, right)
+    assert counts["well_formed"] == 4
+    # the terms API checks the terms it is given, once
+    ldoc, rdoc = load_document(left, "l"), load_document(right, "r")
+    counts.clear()
+    check_inclusion_terms(ldoc.root, rdoc.root, Env({**ldoc.env.bindings, **rdoc.env.bindings}))
+    assert counts["well_formed"] == 1
+
+
+# the pipeline phases the benchmark's tracer wraps, with their calls per check
+TRACED_PHASES = {"load_document": 2, "expand_oneof_doc": 1, "stratify": 1, "dnf_of": 1}
+
+
+def test_every_traced_phase_runs_on_each_check(monkeypatch):
+    counts = _count_calls(monkeypatch, TRACED_PHASES)
+    left, right = map(exact, rec_depth(8))
+    check_inclusion(left, right)
+    assert counts == TRACED_PHASES
+    counts.clear()
+    check_equivalence(left, right)
+    assert counts == {"load_document": 2, "expand_oneof_doc": 2, "stratify": 2, "dnf_of": 2}
+
+
+# ---------------------------------------------------------------------------
+# nesting deeper than the stack allows is an input the checker does not
+# support, never a bare RecursionError; reference chains are another matter
+# (their depth is the normalizer's, see the alias chain tests above)
+
+
+def _nested_not(n: int) -> dict:
+    node = {"type": "string"}
+    for _ in range(n):
+        node = {"not": node}
+    return node
+
+
+def test_too_deeply_nested_schema_is_unsupported():
+    string = {"type": "string"}
+    with pytest.raises(UnsupportedFeature, match="too deeply"):
+        check_inclusion(_nested_not(600), string)
+    with pytest.raises(UnsupportedFeature, match="too deeply"):
+        check_equivalence(string, _nested_not(600))
+    with pytest.raises(UnsupportedFeature, match="too deeply"):
+        load_document({"anyOf": [{"properties": {"a": _nested_not(600)}}]})
+
+
+def test_two_hundred_nested_negations_still_decide():
+    string = {"type": "string"}
+    assert check_inclusion(_nested_not(200), string).included
+    res = check_inclusion(_nested_not(201), string)
+    assert res.verdict == "not_included" and not isinstance(res.witness, str)

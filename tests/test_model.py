@@ -1,11 +1,16 @@
 """Term representation, signed references, environments, well-formedness."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from jsonsub import patterns as P
+from jsonsub.canon import expand_oneof_doc, stratify
+from jsonsub.compat import parse_schema
 from jsonsub.errors import UnresolvableRef
+from jsonsub.families import rec_depth, self_incl
 from jsonsub.model import (
     CREF_TRUE,
     Document,
@@ -14,6 +19,7 @@ from jsonsub.model import (
     RefName,
     SAllOf,
     SAnyOf,
+    SBool,
     SConst,
     SNot,
     SNotConst,
@@ -23,6 +29,8 @@ from jsonsub.model import (
     SRefSingle,
     SType,
     TRUE,
+    STRUCTURAL,
+    child_schemas,
     cref,
     iter_refs,
     s_all_of,
@@ -31,6 +39,8 @@ from jsonsub.model import (
     s_type_set,
     well_formed,
 )
+
+from _family import gen_pair
 
 
 def test_ref_name_negation_is_involutive():
@@ -173,3 +183,140 @@ def test_const_terms_tell_booleans_from_numbers():
         assert len({cls(False), cls(Fraction(0)), cls(True), cls(Fraction(1))}) == 4
         assert cls(Fraction(1)) == cls(1) and hash(cls(Fraction(1))) == hash(cls(1))
     assert SConst(True) != SNotConst(True)
+
+
+# ---------------------------------------------------------------------------
+# the exact-type primitives agree with the equality-based ones they replaced
+
+
+def _old_s_all_of(items):
+    flat = []
+    for it in items:
+        if it is TRUE or it == TRUE:
+            continue
+        if it is FALSE or it == FALSE:
+            return FALSE
+        if isinstance(it, SAllOf):
+            flat.extend(it.items)
+        else:
+            flat.append(it)
+    if not flat:
+        return TRUE
+    if len(flat) == 1:
+        return flat[0]
+    return SAllOf(tuple(flat))
+
+
+def _old_s_any_of(items):
+    flat = []
+    for it in items:
+        if it == FALSE:
+            continue
+        if it == TRUE:
+            return TRUE
+        if isinstance(it, SAnyOf):
+            flat.extend(it.items)
+        else:
+            flat.append(it)
+    if not flat:
+        return FALSE
+    if len(flat) == 1:
+        return flat[0]
+    return SAnyOf(tuple(flat))
+
+
+def _old_s_not(item):
+    if isinstance(item, SNot):
+        return item.item
+    if item == TRUE:
+        return FALSE
+    if item == FALSE:
+        return TRUE
+    return SNot(item)
+
+
+def _random_term(rng: random.Random, depth: int):
+    roll = rng.randrange(9 if depth else 4)
+    if roll == 0:
+        return SBool(rng.random() < 0.5)  # fresh, not the TRUE/FALSE singletons
+    if roll == 1:
+        return rng.choice((TRUE, FALSE))
+    if roll == 2:
+        return SType(rng.choice(("null", "string", "number")))
+    if roll == 3:
+        return SConst(Fraction(rng.randrange(3)))
+    if roll == 4:
+        return SNot(SNot(_random_term(rng, depth - 1)))  # built raw, not folded
+    if roll == 5:
+        return SNot(_random_term(rng, depth - 1))
+    if roll == 6:
+        return SPatternProps(P.key("a"), _random_term(rng, depth - 1))
+    kids = tuple(_random_term(rng, depth - 1) for _ in range(rng.randrange(4)))
+    return (SAllOf if roll == 7 else SAnyOf)(kids)
+
+
+def test_smart_constructors_agree_with_the_equality_based_ones():
+    rng = random.Random(5)
+    for _ in range(3000):
+        items = [_random_term(rng, 3) for _ in range(rng.randrange(5))]
+        for new, old in ((s_all_of, _old_s_all_of), (s_any_of, _old_s_any_of)):
+            got, want = new(items), old(items)
+            assert got == want and type(got) is type(want), items
+            assert (got is TRUE, got is FALSE) == (want is TRUE, want is FALSE)
+        for item in items:
+            got, want = s_not(item), _old_s_not(item)
+            assert got == want and type(got) is type(want), item
+            assert (got is TRUE, got is FALSE) == (want is TRUE, want is FALSE)
+
+
+def _old_iter_refs(s, guarded=False):
+    if isinstance(s, SRef):
+        for name in s.ref.members:
+            yield (name, guarded)
+        return
+    under = guarded or isinstance(s, STRUCTURAL)
+    for kid in child_schemas(s):
+        yield from _old_iter_refs(kid, under)
+
+
+def _pin_documents():
+    """The documents of one seed's family pairs, before and after the
+    rewrites that put references under structural operators, and of the
+    benchmark families that bind references of their own."""
+    mixed = {
+        "definitions": {
+            "a": {"anyOf": [{"$ref": "#/definitions/b"}, {"not": {"$ref": "#/definitions/b"}}]},
+            "b": {"items": {"allOf": [{"$ref": "#/definitions/a"}, {"not": {"$ref": "#"}}]}},
+        },
+        "oneOf": [{"$ref": "#/definitions/a"}, {"properties": {"x": {"$ref": "#/definitions/b"}}}],
+    }
+    rng = random.Random(7)
+    pairs = [gen_pair(rng) for _ in range(300)]
+    pairs += [rec_depth(9), self_incl(5, 5), (mixed, mixed)]
+    for left, right in pairs:
+        ldoc, rdoc = parse_schema(left, "left"), parse_schema(right, "right")
+        yield ldoc
+        yield rdoc
+        env = Env({**ldoc.env.bindings, **rdoc.env.bindings})
+        yield stratify(expand_oneof_doc(Document(s_all_of((ldoc.root, s_not(rdoc.root))), env)))
+
+
+def test_iter_refs_agrees_with_the_recursive_walk():
+    seen: Counter = Counter()
+    for doc in _pin_documents():
+        for term in (doc.root, *doc.env.bindings.values()):
+            got = iter_refs(term)
+            assert Counter(got) == Counter(_old_iter_refs(term))
+            # the same order too, which sets the order of diagnostics
+            assert got == list(_old_iter_refs(term))
+            seen.update(g for _, g in got)
+    assert seen[True] > 500 and seen[False] > 10
+
+
+def test_child_schemas_of_every_term_type():
+    x = SRefSingle(RefName("#/x"))
+    assert child_schemas(SAllOf((x, TRUE))) == (x, TRUE)
+    assert child_schemas(SNot(x)) == (x,)
+    assert child_schemas(SPatternReq(P.key("a"), x)) == (x,)
+    for leaf in (x, TRUE, SType("null"), SConst(True)):
+        assert child_schemas(leaf) == ()

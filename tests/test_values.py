@@ -134,3 +134,12 @@ def test_dump_parse_round_trip(v):
     except ValueError:
         return  # a non-decimal fraction slipped through the filter
     assert json_equal(parse_json(text), v)
+
+
+def test_parse_json_on_too_deeply_nested_text_is_a_value_error():
+    # the first nests deeper than the json module reads, the second deeper
+    # than the conversion to exact numbers walks
+    for text in ("[" * 5000 + "]" * 5000, '{"a": ' * 600 + "0" + "}" * 600):
+        with pytest.raises(ValueError, match="too deeply"):
+            parse_json(text)
+    assert parse_json('{"a": ' * 200 + "0.5" + "}" * 200) is not None
