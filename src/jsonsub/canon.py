@@ -415,6 +415,9 @@ class _Stratifier:
     def __init__(self, env: Env):
         self.env = env
         self.by_body: dict[Schema, RefName] = {}
+        # id(term) -> (term, its walk) for terms with children, which oneOf
+        # expansion shares between branches; holding the term keeps its id
+        self.walked: dict[int, tuple[Schema, Schema]] = {}
         self.counter = 0
 
     def name_for(self, body: Schema) -> RefName:
@@ -437,15 +440,20 @@ class _Stratifier:
         return SRefSingle(self.name_for(body))
 
     def walk(self, s: Schema) -> Schema:
+        kids = child_schemas(s)
+        if not kids:
+            return s
+        hit = self.walked.get(id(s))
+        if hit is not None:
+            return hit[1]
         if type(s) in STRUCTURAL:
             arg = self.arg(s.schema)
-            return s if arg is s.schema else rebuild(s, (arg,))
-        kids = child_schemas(s)
-        if kids:
+            out = s if arg is s.schema else rebuild(s, (arg,))
+        else:
             new_kids = tuple(map(self.walk, kids))
-            if any(map(is_not, new_kids, kids)):
-                return rebuild(s, new_kids)
-        return s
+            out = rebuild(s, new_kids) if any(map(is_not, new_kids, kids)) else s
+        self.walked[id(s)] = (s, out)
+        return out
 
 
 def stratify(doc: Document) -> Document:

@@ -7,9 +7,11 @@ constraints and are ignored; $ref siblings are ignored as Draft-06
 prescribes. integer becomes number restricted to a whole-number factor.
 
 Serialization emits plain Draft-06 again. An operator without a keyword
-of its own is written as "off its type, or not its dual"; property-name
-patterns that are not a literal key or an original regex are rendered by
-extracting an anchored regex from their automaton.
+of its own is written as "off its type, or not its dual". A property-name
+set is written as the keywords the parser reads it from (properties,
+patternProperties, additionalProperties beside them); one that only
+normalization builds, such as an intersection or a length bound, raises
+UnsupportedFeature. A string pattern of names is anchored literals.
 """
 
 from __future__ import annotations
@@ -439,11 +441,30 @@ class _Serializer:
     def pattern_props(self, s: SPatternProps) -> Any:
         if P.p_is_empty(s.pattern):
             return True
-        lit = P.key_literal(s.pattern)
-        if lit is not None:
-            return {"properties": {lit: self.schema(s.schema)}}
-        src = s.pattern.source if isinstance(s.pattern, P.PRegex) else P.regex_source(s.pattern)
-        return {"patternProperties": {src: self.schema(s.schema)}}
+        return self.names_to(s.pattern, self.schema(s.schema))
+
+    def names_to(self, e: P.PatternExpr, sub: Any) -> Any:
+        """Every property whose name is in e satisfies sub, written with the
+        keywords that parse to e."""
+        if type(e) is P.PRegex:
+            return {"patternProperties": {e.source: sub}}
+        if type(e) is P.PKeys and not e.cofinite:
+            return {"properties": dict.fromkeys(sorted(e.names), sub)}
+        if type(e) is P.PAny:
+            return {"allOf": [self.names_to(i, sub) for i in e.items]}
+        # the complement of names and regexes: additionalProperties beside them
+        inner = P.p_not(e)
+        body: dict[str, Any] = {}
+        for i in inner.items if type(inner) is P.PAny else (inner,):
+            if type(i) is P.PRegex:
+                body.setdefault("patternProperties", {})[i.source] = True
+            elif type(i) is P.PKeys and not i.cofinite:
+                if i.names:  # none when e is every name
+                    body["properties"] = dict.fromkeys(sorted(i.names), True)
+            else:
+                raise UnsupportedFeature(f"no Draft-06 keyword for the property names {e!r}")
+        body["additionalProperties"] = sub
+        return body
 
     def pattern_req(self, s: SPatternReq) -> Any:
         if P.p_is_empty(s.pattern):
@@ -466,11 +487,12 @@ class _Serializer:
         if isinstance(e, P.PRegex):
             return {"pattern": e.source}
         if isinstance(e, P.PKeys):
-            lit = P.key_literal(e)
-            if lit is not None:
-                return {"pattern": P.anchored_key_source(lit)}
-            src = P.regex_source(e)
-            return {"not": {"type": "string"}} if src is None else {"pattern": src}
+            if e.cofinite:
+                return self.string_pattern(P.PNot(P.p_not(e)))
+            if not e.names:
+                return {"not": {"type": "string"}}
+            lits = [{"pattern": P.anchored_key_source(n)} for n in sorted(e.names)]
+            return lits[0] if len(lits) == 1 else {"anyOf": lits}
         if isinstance(e, P.PMinLen):
             return {"minLength": e.bound}
         if isinstance(e, P.PMaxLen):

@@ -46,6 +46,7 @@ from .canon import (
     CObject,
     CString,
     CTypeSet,
+    C_TRUE,
     Conj,
     D_FALSE,
     D_TRUE,
@@ -170,7 +171,24 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     if isinstance(s, SBool):
         return Dnf((c,)) if s.value else D_FALSE
     if isinstance(s, SRef):
-        return _conj_with_ref(c, s.ref, ctx, fast)
+        ref = s.ref
+        if ref.is_empty:
+            return Dnf((c,))
+        if ref.has_clash:
+            return D_FALSE
+        memo = memo_dnf(ref, ctx)
+        if memo is IN_PROGRESS:
+            # body under normalization higher in the stack; unfold it inline
+            return all_cs(c, ctx.env.cref_body(ref), ctx, fast)
+        ctx.stats.memo_hits += 1
+        parts = []
+        for m in memo.conjs:
+            parts.append(meet(c, m, ctx))
+            if fast and parts[-1].conjs:
+                return parts[-1]
+        out = any_dd(parts)
+        ctx.note_width(len(out.conjs))
+        return out
     if isinstance(s, SNot):
         t = OP_TYPE.get(type(s.item))
         if t is not None:
@@ -219,26 +237,6 @@ def fast_check(c: Conj, items: tuple[Schema, ...], ctx: NormContext) -> Dnf:
     return Dnf((c,))
 
 
-def _conj_with_ref(c: Conj, ref: CRef, ctx: NormContext, fast: bool) -> Dnf:
-    if ref.is_empty:
-        return Dnf((c,))
-    if ref.has_clash:
-        return D_FALSE
-    memo = memo_dnf(ref, ctx)
-    if memo is IN_PROGRESS:
-        # body under normalization higher in the stack; unfold it inline
-        return all_cs(c, ctx.env.cref_body(ref), ctx, fast)
-    ctx.stats.memo_hits += 1
-    parts = []
-    for m in memo.conjs:
-        parts.append(meet(c, m, ctx))
-        if fast and parts[-1].conjs:
-            return parts[-1]
-    out = any_dd(parts)
-    ctx.note_width(len(out.conjs))
-    return out
-
-
 def memo_dnf(ref: CRef, ctx: NormContext):
     """The memo entry of a reference set: its body's disjunction, or
     IN_PROGRESS while that body is being normalized higher in the stack.
@@ -249,8 +247,8 @@ def memo_dnf(ref: CRef, ctx: NormContext):
         return memo
     ctx.memo[ref] = IN_PROGRESS
     try:
-        # all_ds rather than dnf_of: one frame per reference on the recursion
-        d = all_ds(D_TRUE, ctx.env.cref_body(ref), ctx)
+        # all_cs on D_TRUE's one conjunction: all_ds would add a frame per reference
+        d = all_cs(C_TRUE, ctx.env.cref_body(ref), ctx)
     except BaseException:
         del ctx.memo[ref]
         raise

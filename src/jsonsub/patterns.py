@@ -5,8 +5,9 @@ under boolean operations. A key set (PKeys) is one node: a finite set of
 names, or every string except them. The constructors fold every boolean
 combination of key sets into one such node, so TOP and BOTTOM are key
 sets too. Every expression compiles to a minimal DFA over Unicode code
-point intervals (a key set as one automaton of its names), which makes
-emptiness, inclusion, disjointness and example extraction all decidable.
+point intervals, which makes emptiness, inclusion, disjointness and
+example extraction all decidable. Regexes, key sets and length bounds
+all compile one way: Thompson construction, determinize, minimize.
 Compiled automata are cached per canonical expression. Relations between
 two key sets are decided by set algebra without touching automata; the
 others test the reachable product of the two automata for an accepting
@@ -18,14 +19,17 @@ Regexes follow ECMA-262 search semantics: an unanchored pattern matches
 anywhere in the string, and ^/$ are honored wherever they occur. The
 supported subset excludes backreferences, lookaround and word boundary
 assertions; those raise UnsupportedRegexFeature.
+No automaton is written back as a regex: a regex keeps its source, and a
+name is written as an anchored literal (anchored_key_source).
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Iterable, Optional
 
 from .errors import MalformedSchema, UnsupportedFeature, UnsupportedRegexFeature
@@ -34,6 +38,7 @@ MAX_CP = 0x10FFFF
 MAX_BOUND = 4096
 
 Interval = tuple[int, int]
+_LO = itemgetter(0)  # a transition's lowest code point
 
 _FULL: tuple[Interval, ...] = ((0, MAX_CP),)
 # ECMA '.' excludes the four line terminators
@@ -628,24 +633,11 @@ class Dfa:
     accepting: frozenset[int]
     rows: tuple[tuple[tuple[int, int, int], ...], ...]  # complete, sorted
 
-    def step(self, state: int, cp: int) -> int:
-        row = self.rows[state]
-        lo, hi = 0, len(row) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            a, b, t = row[mid]
-            if cp < a:
-                hi = mid - 1
-            elif cp > b:
-                lo = mid + 1
-            else:
-                return t
-        raise AssertionError("incomplete transition row")
-
     def accepts(self, text: str) -> bool:
-        q = self.start
+        q, rows = self.start, self.rows
         for ch in text:
-            q = self.step(q, ord(ch))
+            row = rows[q]
+            q = row[bisect_right(row, ord(ch), key=_LO) - 1][2]
         return q in self.accepting
 
     @cached_property
@@ -843,21 +835,7 @@ def compile_pattern(e: PatternExpr) -> Dfa:
     hit = _DFA_CACHE.get(e)
     if hit is not None:
         return hit
-    if isinstance(e, PRegex):
-        ast = _parse_regex(e.source)
-        dfa = _minimize(_determinize(_build_nfa(("cat", (_ANY_STAR, ast, _ANY_STAR)))))
-    elif isinstance(e, PKeys):
-        ast = ("alt", tuple(_literal_ast(name) for name in sorted(e.names)))
-        dfa = _minimize(_determinize(_build_nfa(ast)))
-        if e.cofinite:
-            dfa = _flip(dfa)
-    elif isinstance(e, (PMinLen, PMaxLen)):
-        # state i counts i characters read; the last state absorbs the rest
-        last = e.bound + isinstance(e, PMaxLen)
-        rows = tuple(((0, MAX_CP, min(i + 1, last)),) for i in range(last + 1))
-        accepting = (last,) if isinstance(e, PMinLen) else range(last)
-        dfa = Dfa(0, frozenset(accepting), rows)
-    elif isinstance(e, PNot):
+    if isinstance(e, PNot):
         dfa = _flip(compile_pattern(e.item))
     elif isinstance(e, (PAll, PAny)):
         keep = and_ if isinstance(e, PAll) else or_
@@ -866,7 +844,19 @@ def compile_pattern(e: PatternExpr) -> Dfa:
             # minimizing each step keeps the next product small
             dfa = _minimize(_product(dfa, compile_pattern(it), keep))
     else:
-        raise AssertionError(f"unknown pattern expression {e!r}")
+        if isinstance(e, PRegex):
+            ast = ("cat", (_ANY_STAR, _parse_regex(e.source), _ANY_STAR))
+        elif isinstance(e, PKeys):
+            ast = ("alt", tuple(_literal_ast(name) for name in sorted(e.names)))
+        elif isinstance(e, PMinLen):
+            ast = ("rep", ("class", _FULL), e.bound, None)
+        elif isinstance(e, PMaxLen):
+            ast = ("rep", ("class", _FULL), 0, e.bound)
+        else:
+            raise AssertionError(f"unknown pattern expression {e!r}")
+        dfa = _minimize(_determinize(_build_nfa(ast)))
+        if isinstance(e, PKeys) and e.cofinite:
+            dfa = _flip(dfa)
     _DFA_CACHE[e] = dfa
     return dfa
 
@@ -961,20 +951,17 @@ def p_examples(e: PatternExpr, k: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Regex source extraction (for serializing name patterns that are not a
-# plain regex already). Works on the minimal DFA by state elimination.
+# Literal names as regex source, for serializing a key set in string position
 
-_CLASS_META = set("\\^$.|?*+()[]{}/")
-_IN_CLASS_META = set("\\]^-")
+_META = set("\\^$.|?*+()[]{}/")
+_NAMED = {0x0A: "\\n", 0x0D: "\\r", 0x09: "\\t", 0x0C: "\\f", 0x0B: "\\v"}
 
 
-def _cp_source(cp: int, in_class: bool) -> str:
-    named = {0x0A: "\\n", 0x0D: "\\r", 0x09: "\\t", 0x0C: "\\f", 0x0B: "\\v"}
-    if cp in named:
-        return named[cp]
+def _cp_source(cp: int) -> str:
+    if cp in _NAMED:
+        return _NAMED[cp]
     ch = chr(cp)
-    meta = _IN_CLASS_META if in_class else _CLASS_META
-    if ch in meta:
+    if ch in _META:
         return "\\" + ch
     if 0x20 <= cp < 0x7F:
         return ch
@@ -983,121 +970,9 @@ def _cp_source(cp: int, in_class: bool) -> str:
     return ch  # embedded literally; JSON escaping handles transport
 
 
-def _class_source(ivs: tuple[Interval, ...]) -> str:
-    if ivs == _FULL:
-        return "[\\s\\S]"
-    if len(ivs) == 1 and ivs[0][0] == ivs[0][1]:
-        return _cp_source(ivs[0][0], in_class=False)
-    comp = _complement(ivs)
-    body, neg = (ivs, "") if len(ivs) <= len(comp) else (comp, "^")
-    parts = []
-    for lo, hi in body:
-        if lo == hi:
-            parts.append(_cp_source(lo, in_class=True))
-        elif hi == lo + 1:
-            parts.append(_cp_source(lo, in_class=True) + _cp_source(hi, in_class=True))
-        else:
-            parts.append(f"{_cp_source(lo, True)}-{_cp_source(hi, True)}")
-    return f"[{neg}{''.join(parts)}]"
-
-
-def _ast_source(ast, prec: int = 0) -> str:
-    # prec: 0 alternation, 1 concatenation, 2 repeatable atom
-    kind = ast[0]
-    if kind == "eps":
-        src, level = "", 1
-    elif kind == "class":
-        if not ast[1]:
-            # empty class matches nothing; callers avoid emitting this
-            src, level = "[^\\s\\S]", 2
-        else:
-            src, level = _class_source(ast[1]), 2
-    elif kind == "cat":
-        src, level = "".join(_ast_source(p, 1) for p in ast[1]), 1
-    elif kind == "alt":
-        src, level = "|".join(_ast_source(p, 0) for p in ast[1]), 0
-    elif kind == "star":
-        src, level = _ast_source(ast[1], 2) + "*", 1
-    else:
-        raise AssertionError(f"unexpected node in source rendering: {ast!r}")
-    if level < prec or (kind == "eps" and prec >= 1):
-        return f"(?:{src})"
-    return src
-
-
-def regex_source(e: PatternExpr) -> Optional[str]:
-    """Anchored ECMA regex for the full language of e; None if empty."""
-    dfa = compile_pattern(e)
-    if not dfa.accepting:
-        return None
-    ast = _eliminate(dfa)
-    return "^(?:" + _ast_source(ast, 0) + ")$"
-
-
-def _alt(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    parts = (a[1] if a[0] == "alt" else (a,)) + (b[1] if b[0] == "alt" else (b,))
-    return ("alt", parts)
-
-
-def _cat(a, b):
-    if a[0] == "eps":
-        return b
-    if b[0] == "eps":
-        return a
-    parts = (a[1] if a[0] == "cat" else (a,)) + (b[1] if b[0] == "cat" else (b,))
-    return ("cat", parts)
-
-
-def _eliminate(dfa: Dfa):
-    n = len(dfa.rows)
-    start, end = n, n + 1
-    edges: dict[tuple[int, int], object] = {}
-
-    def add(i: int, j: int, ast) -> None:
-        edges[(i, j)] = _alt(edges.get((i, j)), ast)
-
-    add(start, dfa.start, ("eps",))
-    for q in dfa.accepting:
-        add(q, end, ("eps",))
-    live = dfa.live
-    for q, row in enumerate(dfa.rows):
-        if q not in live:
-            continue
-        by_target: dict[int, list[Interval]] = {}
-        for lo, hi, t in row:
-            if t in live:
-                by_target.setdefault(t, []).append((lo, hi))
-        for t, ivs in by_target.items():
-            add(q, t, ("class", _norm_intervals(ivs)))
-
-    for q in range(n):
-        if q == start or q == end:
-            continue
-        self_loop = edges.pop((q, q), None)
-        loop = ("star", self_loop) if self_loop is not None else None
-        ins = [(i, a) for (i, j), a in edges.items() if j == q]
-        outs = [(j, a) for (i, j), a in edges.items() if i == q]
-        for (i, j) in [k for k in edges if k[0] == q or k[1] == q]:
-            edges.pop((i, j), None)
-        for i, a_in in ins:
-            for j, a_out in outs:
-                mid = a_in
-                if loop is not None:
-                    mid = _cat(mid, loop)
-                add(i, j, _cat(mid, a_out))
-    final = edges.get((start, end))
-    if final is None:
-        raise AssertionError("state elimination lost the language")
-    return final
-
-
 def escape_literal(text: str) -> str:
     """Regex source matching exactly this text (for anchored key patterns)."""
-    return "".join(_cp_source(ord(c), in_class=False) for c in text)
+    return "".join(_cp_source(ord(c)) for c in text)
 
 
 def anchored_key_source(literal: str) -> str:

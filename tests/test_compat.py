@@ -8,6 +8,7 @@ both verdict polarities occur.
 """
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import jsonschema
@@ -19,10 +20,13 @@ from jsonsub.engine import satisfies
 from jsonsub.errors import (
     MalformedSchema,
     UnresolvableRef,
+    UnsupportedFeature,
     UnsupportedKeyword,
 )
 from jsonsub.model import Document, Env, SPattern, SPatternProps, SPatternReq, SType
 from jsonsub.values import dump_json, parse_json
+
+from _draft6 import Draft6, suite
 
 SCHEMAS = [
     True,
@@ -103,6 +107,9 @@ NAME_SET_TERMS = [
     SPattern(P.BOTTOM),
     SPatternProps(P.p_not(P.p_or(P.key("a"), P.key("b"))), SType("number")),
     SPatternReq(P.p_not(P.key("a")), SType("string")),
+    SPatternProps(P.p_not(P.regex("^a")), SType("number")),
+    SPatternProps(P.p_not(P.p_or(P.key("a"), P.regex("^x"))), SType("number")),
+    SPatternProps(P.p_or(P.key("a"), P.regex("^x")), SType("number")),
 ]
 
 
@@ -115,6 +122,69 @@ def test_name_sets_serialize_to_their_semantics(term):
     after = jsonschema.Draft6Validator(back)
     for v in SAMPLES:
         assert after.is_valid(v) == satisfies(_exact(v), term, Env()), (back, v)
+
+
+def test_a_name_set_only_normalization_builds_is_unsupported():
+    term = SPatternProps(P.p_and(P.regex("^a"), P.max_len(3)), SType("number"))
+    with pytest.raises(UnsupportedFeature):
+        serialize(Document(term, Env()))
+
+
+def test_additional_properties_are_written_back_as_parsed():
+    doc = parse_schema({
+        "properties": {"a": {"type": "number"}},
+        "patternProperties": {"^x": {"type": "string"}},
+        "additionalProperties": False,
+    })
+    residual = {"properties": {"a": True}, "patternProperties": {"^x": True},
+                "additionalProperties": False}
+    assert residual in serialize(doc)["allOf"]
+
+
+def _pattern_sources(node, out: set) -> set:
+    """Every pattern value and patternProperties key in a schema value."""
+    if isinstance(node, dict):
+        if isinstance(node.get("pattern"), str):
+            out.add(node["pattern"])
+        if isinstance(node.get("patternProperties"), dict):
+            out.update(node["patternProperties"])
+        for sub in node.values():
+            _pattern_sources(sub, out)
+    elif isinstance(node, list):
+        for sub in node:
+            _pattern_sources(sub, out)
+    return out
+
+
+def _strings(node, out: set) -> set:
+    if isinstance(node, str):
+        out.add(node)
+    elif isinstance(node, dict):
+        out.update(node)
+        for sub in node.values():
+            _strings(sub, out)
+    elif isinstance(node, list):
+        for sub in node:
+            _strings(sub, out)
+    return out
+
+
+def test_every_suite_schema_round_trips():
+    schemas, instances = suite()
+    checks = 0
+    for exact, before in schemas:
+        text = dump_json(serialize(parse_schema(exact)))
+        back = json.loads(text, parse_float=Decimal)
+        after = Draft6(back)
+        for x in instances:
+            assert before.is_valid(x) == after.is_valid(x), (exact, back, x)
+            checks += 1
+        # no regex is derived: each one is the input's own, or a literal
+        plain = json.loads(dump_json(exact))
+        allowed = _pattern_sources(plain, set())
+        allowed.update(map(P.anchored_key_source, _strings(plain, set())))
+        assert _pattern_sources(back, set()) <= allowed, (exact, back)
+    assert checks == 94_470
 
 
 def test_integer_type_accepts_whole_floats():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
@@ -802,13 +803,25 @@ def _on_fresh_stack(fn, *args):
 
 
 def test_check_on_a_deep_guarded_cycle():
-    assert _on_fresh_stack(check_inclusion, *rec_depth(56)).included
+    assert _on_fresh_stack(check_inclusion, *rec_depth(70)).included
 
 
 def test_check_on_a_long_alias_chain():
-    chain, string = _alias_chain(190), {"type": "string"}
+    chain, string = _alias_chain(300), {"type": "string"}
     assert _on_fresh_stack(check_inclusion, chain, string).included
     assert _on_fresh_stack(check_inclusion, string, chain).included
+
+
+def test_nested_one_of_ends_in_the_budget_without_a_walk_per_path():
+    # each expanded oneOf shares its children between the branches built
+    # from them; stratification visits such a child once, not once per path
+    s = {"type": "string"}
+    for _ in range(20):
+        s = {"oneOf": [s, {"type": "null"}]}
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        check_inclusion(s, {"type": ["string", "null"]}, timeout=0.5)
+    assert time.monotonic() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

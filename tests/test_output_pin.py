@@ -26,7 +26,7 @@ from _family import gen_pair
 DIGEST = "f226897ce8927be71952ed7ca3661043bf2b79d4f974fff2362816e55de7660b"
 
 TOTALS = {
-    "steps": 787_241,
+    "steps": 768_680,
     "fast_path_hits": 10_332,
     "fast_path_misses": 28_993,
     "crefs_created": 8_218,
