@@ -6,6 +6,7 @@ keep a partition of the property-name space into fragments; array
 disjuncts keep per-index slots, one tail constraint, containment
 obligations at or past the tail start, and length bounds; number
 disjuncts keep one interval, one combined factor, and excluded factors.
+A disjunction (Dnf) is an alias for a plain tuple of such disjuncts.
 
 The negation rewrite pushes a single negation one level down: a negated
 type-guarded operator becomes its type (OP_TYPE) plus its dual, the
@@ -194,17 +195,9 @@ class CArray(Conj):
     unique: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class Dnf:
-    conjs: tuple[Conj, ...]
-
-    @property
-    def is_false(self) -> bool:
-        return not self.conjs
-
-
-D_FALSE = Dnf(())
-D_TRUE = Dnf((C_TRUE,))
+# a disjunction of canonical conjunctions; the empty one is false
+Dnf = tuple[Conj, ...]
+D_FALSE: Dnf = ()
 
 
 def any_dd(ds: Sequence[Dnf]) -> Dnf:
@@ -213,17 +206,17 @@ def any_dd(ds: Sequence[Dnf]) -> Dnf:
     union, not a fold of pairs, which would hash the prefix again per part."""
     if len(ds) == 1:
         return ds[0]
-    live = [d for d in ds if d.conjs]
+    live = [d for d in ds if d]
     if len(live) <= 1:
         return live[0] if live else D_FALSE
-    out = list(live[0].conjs)
+    out = list(live[0])
     seen = set(out)
     for d in live[1:]:
-        for c in d.conjs:
+        for c in d:
             if c not in seen:
                 seen.add(c)
                 out.append(c)
-    return Dnf(tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +272,7 @@ def conj_to_schema(c: Conj) -> Schema:
 
 
 def dnf_to_schema(d: Dnf) -> Schema:
-    return s_any_of(conj_to_schema(c) for c in d.conjs)
+    return s_any_of(conj_to_schema(c) for c in d)
 
 
 _CONJ_TYPE = {CBoolean: "boolean", CNumber: "number", CString: "string",
@@ -414,14 +407,32 @@ def expand_oneof_doc(doc: Document) -> Document:
 class _Stratifier:
     def __init__(self, env: Env):
         self.env = env
-        self.by_body: dict[Schema, RefName] = {}
+        self.by_body: dict[object, RefName] = {}
         # id(term) -> (term, its walk) for terms with children, which oneOf
         # expansion shares between branches; holding the term keeps its id
         self.walked: dict[int, tuple[Schema, Schema]] = {}
+        # id(term) -> (term, its key); a key with children is numbered
+        self.keys: dict[int, tuple[Schema, object]] = {}
+        self.numbers: dict[tuple, int] = {}
         self.counter = 0
 
+    def key(self, s: Schema) -> object:
+        """Equal for structurally equal terms, computed once per term: a
+        term's own hash walks a shared oneOf expansion as a tree. A leaf
+        keys as itself, any other term as a number."""
+        kids = child_schemas(s)
+        if not kids:
+            return s
+        hit = self.keys.get(id(s))
+        if hit is None:
+            field = getattr(s, "pattern", getattr(s, "index", None))
+            shape = (type(s), field, tuple(map(self.key, kids)))
+            hit = self.keys[id(s)] = (s, self.numbers.setdefault(shape, len(self.numbers)))
+        return hit[1]
+
     def name_for(self, body: Schema) -> RefName:
-        hit = self.by_body.get(body)
+        key = self.key(body)
+        hit = self.by_body.get(key)
         if hit is not None:
             return hit
         while True:
@@ -430,7 +441,7 @@ class _Stratifier:
             if name not in self.env.bindings:
                 break
         self.env.bind(name, body)
-        self.by_body[body] = name
+        self.by_body[key] = name
         return name
 
     def arg(self, s: Schema) -> Schema:

@@ -11,7 +11,8 @@ of its own is written as "off its type, or not its dual". A property-name
 set is written as the keywords the parser reads it from (properties,
 patternProperties, additionalProperties beside them); one that only
 normalization builds, such as an intersection or a length bound, raises
-UnsupportedFeature. A string pattern of names is anchored literals.
+UnsupportedFeature. A string pattern of names is an enum, so no regex
+is written that the input did not hold.
 """
 
 from __future__ import annotations
@@ -491,8 +492,9 @@ class _Serializer:
                 return self.string_pattern(P.PNot(P.p_not(e)))
             if not e.names:
                 return {"not": {"type": "string"}}
-            lits = [{"pattern": P.anchored_key_source(n)} for n in sorted(e.names)]
-            return lits[0] if len(lits) == 1 else {"anyOf": lits}
+            # an enum, not an anchored regex, whose "$" Python's re also
+            # matches before a final newline
+            return {"not": {"type": "string", "not": {"enum": sorted(e.names)}}}
         if isinstance(e, P.PMinLen):
             return {"minLength": e.bound}
         if isinstance(e, P.PMaxLen):

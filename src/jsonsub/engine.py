@@ -344,7 +344,7 @@ def _decide(s1: Schema, s2: Schema, env: Env, max_steps: int, timeout: float) ->
     start = time.monotonic()
     try:
         root = dnf_of(doc.root, ctx)
-        if root.is_false:
+        if not root:
             return InclusionResult(True, None, ctx.stats)
         prepare(root, ctx)
         ctx.stats.generation_invoked = True

@@ -1,13 +1,15 @@
 """Normalization of schema conjunctions into canonical disjunctions.
 
 The entry point folds a schema term into a disjunction of canonical
-conjunctions, working lazily: a conjunction of terms is refuted as soon
-as any prefix of the fold collapses to the empty disjunction. A cheap
-refutational pass, fast_check, first meets the conjunction with each
-conjunct alone, so that a contradiction anywhere in an allOf is found
-before the terms ahead of it are normalized; it answers with the empty
-disjunction or with the conjunction it was given. It answers liveness
-and builds no conjunction: it stops at the first live outcome.
+conjunctions, a plain tuple of them (canon.Dnf), the empty tuple being
+false. It works lazily: all_cs folds an allOf one term at a time over the
+running disjuncts, and refutes it as soon as any prefix collapses to the
+empty disjunction. A cheap refutational pass, fast_check, first meets the
+conjunction with each conjunct alone, so that a contradiction anywhere in
+an allOf is found before the terms ahead of it are normalized; it answers
+with the empty disjunction or with the conjunction it was given. It
+answers liveness and builds no conjunction: it stops at the first live
+outcome.
 
 Two canonical conjunctions are intersected by one routine, meet. A type,
 constant, number or string operator enters as its own canonical
@@ -26,7 +28,8 @@ contradictory set, which lets later unions refute instantly.
 
 A property pattern that cuts a fragment splits it in two, and every
 requirement of the fragment then picks the side whose field meets it;
-the same split serves property and required-field insertion.
+the same split serves property and required-field insertion. One rule,
+_insert_slots, serves items and additionalItems: a range of array slots.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .canon import (
     C_TRUE,
     Conj,
     D_FALSE,
-    D_TRUE,
     Dnf,
     Fragment,
     OP_TYPE,
@@ -149,31 +151,20 @@ class NormContext:
 
 
 def dnf_of(s: Schema, ctx: NormContext) -> Dnf:
-    return all_ds(D_TRUE, s, ctx)
-
-
-def all_ds(d: Dnf, s: Schema, ctx: NormContext) -> Dnf:
-    ctx.tick()
-    if d.is_false:
-        return D_FALSE
-    # a loop: a comprehension would cost a frame per level of reference
-    parts = []
-    for c in d.conjs:
-        parts.append(all_cs(c, s, ctx))
-    out = any_dd(parts)
-    ctx.note_width(len(out.conjs))
-    return out
+    d = all_cs(C_TRUE, s, ctx)
+    ctx.note_width(len(d))
+    return d
 
 
 def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     ctx.tick()
     ctx.stats.cs_calls += 1
     if isinstance(s, SBool):
-        return Dnf((c,)) if s.value else D_FALSE
+        return (c,) if s.value else D_FALSE
     if isinstance(s, SRef):
         ref = s.ref
         if ref.is_empty:
-            return Dnf((c,))
+            return (c,)
         if ref.has_clash:
             return D_FALSE
         memo = memo_dnf(ref, ctx)
@@ -182,23 +173,23 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
             return all_cs(c, ctx.env.cref_body(ref), ctx, fast)
         ctx.stats.memo_hits += 1
         parts = []
-        for m in memo.conjs:
+        for m in memo:
             parts.append(meet(c, m, ctx))
-            if fast and parts[-1].conjs:
+            if fast and parts[-1]:
                 return parts[-1]
         out = any_dd(parts)
-        ctx.note_width(len(out.conjs))
+        ctx.note_width(len(out))
         return out
     if isinstance(s, SNot):
         t = OP_TYPE.get(type(s.item))
         if t is not None:
             d = meet(c, _ONLY[t], ctx)
-            return all_cs(d.conjs[0], dual(s.item), ctx, fast) if d.conjs else D_FALSE
+            return all_cs(d[0], dual(s.item), ctx, fast) if d else D_FALSE
         if fast and isinstance(s.item, SAllOf):
             # live when one negated conjunct is; their union is never built
             for item in s.item.items:
                 d = all_cs(c, s_not(item), ctx, True)
-                if d.conjs:
+                if d:
                     return d
             return D_FALSE
         return all_cs(c, not_push(s.item), ctx, fast)
@@ -206,20 +197,28 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
         parts = []
         for item in s.items:
             parts.append(all_cs(c, item, ctx, fast))
-            if fast and parts[-1].conjs:
+            if fast and parts[-1]:
                 # fast callers only ask whether the result is false, and
                 # one live disjunct already settles that
                 return parts[-1]
         out = any_dd(parts)
-        ctx.note_width(len(out.conjs))
+        ctx.note_width(len(out))
         return out
     if isinstance(s, SAllOf):
         d = fast_check(c, s.items, ctx)
-        if fast or d.is_false:
+        if fast or not d:
             return d
         d = all_cs(c, s.items[0], ctx)
         for item in s.items[1:]:
-            d = all_ds(d, item, ctx)
+            ctx.tick()
+            if not d:
+                return D_FALSE
+            # loops, not comprehensions: each would cost a frame per reference level
+            parts = []
+            for c2 in d:
+                parts.append(all_cs(c2, item, ctx))
+            d = any_dd(parts)
+            ctx.note_width(len(d))
         return d
     return all_ck(c, s, ctx, fast)
 
@@ -230,11 +229,11 @@ def fast_check(c: Conj, items: tuple[Schema, ...], ctx: NormContext) -> Dnf:
     liveness, so it stops at the first live outcome and builds no conjunction."""
     ctx.tick()
     for item in items:
-        if all_cs(c, item, ctx, fast=True).is_false:
+        if not all_cs(c, item, ctx, fast=True):
             ctx.stats.fast_path_hits += 1
             return D_FALSE
     ctx.stats.fast_path_misses += 1
-    return Dnf((c,))
+    return (c,)
 
 
 def memo_dnf(ref: CRef, ctx: NormContext):
@@ -247,7 +246,6 @@ def memo_dnf(ref: CRef, ctx: NormContext):
         return memo
     ctx.memo[ref] = IN_PROGRESS
     try:
-        # all_cs on D_TRUE's one conjunction: all_ds would add a frame per reference
         d = all_cs(C_TRUE, ctx.env.cref_body(ref), ctx)
     except BaseException:
         del ctx.memo[ref]
@@ -276,7 +274,7 @@ def all_xx(x: CRef, y: CRef, ctx: NormContext) -> CRef:
         memo = memo_dnf(u, ctx)
     else:
         ctx.stats.memo_hits += 1
-    return env.false_ref() if memo.is_false else u
+    return u if memo else env.false_ref()
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +287,21 @@ def meet(c: Conj, c2: Conj, ctx: NormContext) -> Dnf:
     if isinstance(c2, CTypeSet):
         if isinstance(c, CTypeSet):
             both = c.types & c2.types
-            return Dnf((CTypeSet(both),)) if both else D_FALSE
-        return Dnf((c,)) if conj_type(c) in c2.types else D_FALSE
+            return (CTypeSet(both),) if both else D_FALSE
+        return (c,) if conj_type(c) in c2.types else D_FALSE
     if isinstance(c, CTypeSet):
-        return Dnf((c2,)) if conj_type(c2) in c.types else D_FALSE
+        return (c2,) if conj_type(c2) in c.types else D_FALSE
     if type(c) is not type(c2):
         return D_FALSE
     if isinstance(c, CNumber):
         return _meet_number(c, c2)
     if isinstance(c, CString):
         pat = P.p_and(c.pattern, c2.pattern)
-        return D_FALSE if P.p_is_empty(pat) else Dnf((CString(pat),))
+        return D_FALSE if P.p_is_empty(pat) else (CString(pat),)
     if isinstance(c, CBoolean):
-        return Dnf((c,)) if c.value == c2.value else D_FALSE
+        return (c,) if c.value == c2.value else D_FALSE
     insert = _insert_object if isinstance(c, CObject) else _insert_array
-    d = Dnf((c,))
+    d = (c,)
     for k in conj_ops(c2):
         d = _flat_map(d, lambda x, k=k: insert(x, k, ctx))
     return d
@@ -318,20 +316,20 @@ def _scalar_dnf(k: Schema) -> Dnf:
     """A type, constant, number or string operator as canonical
     disjuncts. Number and string operators hold vacuously off their type."""
     if isinstance(k, SType):
-        return Dnf((_ONLY[k.name],))
+        return (_ONLY[k.name],)
     if isinstance(k, STypeSet):
-        return Dnf((CTypeSet(k.names),))
+        return (CTypeSet(k.names),)
     if isinstance(k, SConst):
         if isinstance(k.value, bool):
-            return Dnf((CBoolean(k.value),))
+            return (CBoolean(k.value),)
         q = Fraction(k.value)
-        return Dnf((CNumber(lo=q, hi=q),))
+        return (CNumber(lo=q, hi=q),)
     if isinstance(k, SNotConst):
         if isinstance(k.value, bool):
-            return Dnf((_OFF["boolean"], CBoolean(not k.value)))
+            return (_OFF["boolean"], CBoolean(not k.value))
         q = Fraction(k.value)
         below, above = CNumber(hi=q, hi_strict=True), CNumber(lo=q, lo_strict=True)
-        return Dnf((_OFF["number"], below, above))
+        return (_OFF["number"], below, above)
     if isinstance(k, SMinimum):
         c2 = CNumber(lo=k.bound, lo_strict=k.exclusive)
     elif isinstance(k, SMaximum):
@@ -342,11 +340,11 @@ def _scalar_dnf(k: Schema) -> Dnf:
         c2 = CNumber(excluded=(k.factor,))
     elif isinstance(k, SPattern):
         if P.p_is_empty(k.pattern):
-            return Dnf((_OFF["string"],))
+            return (_OFF["string"],)
         c2 = CString(k.pattern)
     else:
         raise AssertionError(f"not an operator: {k!r}")
-    return Dnf((_OFF[conj_type(c2)], c2))
+    return (_OFF[conj_type(c2)], c2)
 
 
 def all_ck(c: Conj, k: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
@@ -354,23 +352,23 @@ def all_ck(c: Conj, k: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
     k_type = OP_TYPE.get(type(k))
     if k_type not in ("object", "array"):
         d = _flat_map(_scalar_dnf(k), lambda c2: meet(c, c2, ctx))
-        ctx.note_width(len(d.conjs))
+        ctx.note_width(len(d))
         return d
 
     if isinstance(c, CTypeSet):
         if k_type not in c.types:
-            return Dnf((c,))
+            return (c,)
         parts: list[Conj] = []
         rest = c.types - {k_type}
         if rest:
             parts.append(CTypeSet(rest))
         fresh = CObject() if k_type == "object" else CArray()
-        parts.extend(all_ck(fresh, k, ctx, fast).conjs)
+        parts.extend(all_ck(fresh, k, ctx, fast))
         ctx.note_width(len(parts))
-        return Dnf(tuple(parts))
+        return tuple(parts)
 
     if conj_type(c) != k_type:
-        return Dnf((c,))
+        return (c,)
     if isinstance(c, CObject):
         return _insert_object(c, k, ctx, fast)
     return _insert_array(c, k, ctx)
@@ -471,7 +469,7 @@ def insert_preq(
             # keeping every requirement of a cut fragment inside always works
             # (all_xx(req, CREF_TRUE) never clashes) and needs the fewest fields
             if not _short_of_fields(co.fragments, co.max_props, 0 if frag.reqs else 1):
-                return Dnf((co,))
+                return (co,)
             continue
         if P.p_subset(frag.pattern, pattern):
             out.append(co.replace({i: [frag.with_reqs(frag.reqs + (w,))]}))
@@ -485,7 +483,7 @@ def insert_preq(
                 Fragment(outside, frag.ref, reqs_out),
             ]}))
     ctx.note_width(len(out))
-    return Dnf(tuple(out))
+    return tuple(out)
 
 
 def _insert_object(co: CObject, k: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
@@ -493,18 +491,18 @@ def _insert_object(co: CObject, k: Schema, ctx: NormContext, fast: bool = False)
         n = max(co.min_props, k.bound)
         if co.max_props is not None and n > co.max_props:
             return D_FALSE
-        return Dnf((CObject(co.fragments, n, co.max_props),))
+        return (CObject(co.fragments, n, co.max_props),)
     if isinstance(k, SMaxProps):
         m = k.bound if co.max_props is None else min(co.max_props, k.bound)
         if m < co.min_props:
             return D_FALSE
         if _short_of_fields(co.fragments, m):
             return D_FALSE
-        return Dnf((CObject(co.fragments, co.min_props, m),))
+        return (CObject(co.fragments, co.min_props, m),)
     if isinstance(k, SPatternProps):
         x = _arg_ref(k.schema)
         if P.p_is_empty(k.pattern):
-            return Dnf((co,))
+            return (co,)
         changes: list[tuple[int, list[list[Fragment]]]] = []
         for i in co.candidates(k.pattern):
             opts = merge_frag_prop(co.fragments[i], k.pattern, x, ctx, fast)
@@ -514,26 +512,26 @@ def _insert_object(co: CObject, k: Schema, ctx: NormContext, fast: bool = False)
                 continue
             changes.append((i, opts))
         if not changes:
-            return Dnf((co,))
+            return (co,)
         out = []
         for moves in cartesian(*(opts for _, opts in changes)):
             ctx.tick()
             out.append(co.replace({i: list(mv) for (i, _), mv in zip(changes, moves)}))
         d = _object_guard(out)
-        ctx.note_width(len(d.conjs))
+        ctx.note_width(len(d))
         return d
     if isinstance(k, SPatternReq):
         d = insert_preq(co, k.pattern, _arg_ref(k.schema), ctx, fast)
-        return _object_guard(list(d.conjs))
+        return _object_guard(d)
     raise AssertionError(f"no object insertion for {k!r}")
 
 
-def _object_guard(conjs: list[Conj]) -> Dnf:
+def _object_guard(conjs: Iterable[Conj]) -> Dnf:
     """Drop rewritten objects whose requirements cannot fit the field budget."""
-    return Dnf(tuple(
+    return tuple(
         c for c in conjs
         if not (isinstance(c, CObject) and _short_of_fields(c.fragments, c.max_props))
-    ))
+    )
 
 
 def _short_of_fields(frags: tuple[Fragment, ...], max_props: Optional[int], extra: int = 0) -> bool:
@@ -554,7 +552,7 @@ def _arg_ref(s: Schema) -> CRef:
 
 
 def _flat_map(d: Dnf, f) -> Dnf:
-    return any_dd([f(c) for c in d.conjs])
+    return any_dd([f(c) for c in d])
 
 
 def _sorted_contains(entries: Iterable[tuple[int, CRef]]) -> tuple[tuple[int, CRef], ...]:
@@ -566,24 +564,24 @@ def _insert_array(ca: CArray, k: Schema, ctx: NormContext) -> Dnf:
         n = max(ca.min_items, k.bound)
         if ca.max_items is not None and n > ca.max_items:
             return D_FALSE
-        return Dnf((replace(ca, min_items=n),))
+        return (replace(ca, min_items=n),)
     if isinstance(k, SMaxItems):
         m = k.bound if ca.max_items is None else min(ca.max_items, k.bound)
         return _cap_array(ca, m)
     if isinstance(k, SUniqueItems):
         if ca.unique is False:
             return D_FALSE
-        return Dnf((replace(ca, unique=True),))
+        return (replace(ca, unique=True),)
     if isinstance(k, SRepeatedItems):
         if ca.unique is True:
             return D_FALSE
         if ca.max_items is not None and ca.max_items < 2:
             return D_FALSE
-        return Dnf((replace(ca, unique=False),))
+        return (replace(ca, unique=False),)
     if isinstance(k, SItemAt):
-        return _insert_item_at(ca, k.index, _arg_ref(k.schema), ctx)
+        return _insert_slots(ca, k.index, k.index + 1, _arg_ref(k.schema), ctx)
     if isinstance(k, SItemsFrom):
-        return _insert_items_from(ca, k.index, _arg_ref(k.schema), ctx)
+        return _insert_slots(ca, k.index, None, _arg_ref(k.schema), ctx)
     if isinstance(k, SContainsFrom):
         return _insert_contains(ca, k.index, _arg_ref(k.schema), ctx)
     raise AssertionError(f"no array insertion for {k!r}")
@@ -598,56 +596,40 @@ def _cap_array(ca: CArray, m: int) -> Dnf:
             return D_FALSE
     items = ca.items[:m]
     tail = ca.tail if m > len(items) else CREF_TRUE
-    return Dnf((replace(ca, items=items, tail=tail, max_items=m),))
+    return (replace(ca, items=items, tail=tail, max_items=m),)
 
 
-def _insert_item_at(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf:
-    if ca.max_items is not None and index >= ca.max_items:
-        return Dnf((ca,))
-    n_a = len(ca.items)
-    if index < n_a:
-        w = all_xx(ca.items[index], x, ctx)
-        if w.has_clash:
-            # a value at this index is impossible, so the array stops short
-            return _cap_array(ca, index)
-        items = ca.items[:index] + (w,) + ca.items[index + 1 :]
-        return Dnf((replace(ca, items=items),))
-    # extend the slot range; entries that land inside it are re-hosted
-    w = all_xx(ca.tail, x, ctx)
-    if w.has_clash:
-        return _cap_array(ca, index)
-    items = ca.items + (ca.tail,) * (index - n_a) + (w,)
-    pending = [e for e in ca.contains if e[0] <= index]
-    rest = _sorted_contains(e for e in ca.contains if e[0] > index)
-    base = replace(ca, items=items, contains=rest)
-    return _relift(Dnf((base,)), pending, ctx)
-
-
-def _insert_items_from(ca: CArray, index: int, x: CRef, ctx: NormContext) -> Dnf:
-    if ca.max_items is not None and index >= ca.max_items:
-        return Dnf((ca,))
-    # materialize tail slots up to the index; entries before it are re-hosted
-    items = list(ca.items + (ca.tail,) * (index - len(ca.items)))
-    for i in range(index, len(items)):
+def _insert_slots(ca: CArray, lo: int, hi: Optional[int], x: CRef, ctx: NormContext) -> Dnf:
+    """Every element at an index in [lo, hi) satisfies x, or every element
+    from lo on when hi is None. The slots grow with tail copies to cover
+    the range; containment entries that the grown slots cover are re-hosted."""
+    if ca.max_items is not None and lo >= ca.max_items:
+        return (ca,)
+    n = max(len(ca.items), lo if hi is None else hi)
+    items = list(ca.items + (ca.tail,) * (n - len(ca.items)))
+    for i in range(lo, n if hi is None else hi):
         w = all_xx(items[i], x, ctx)
         if w.has_clash:
-            return _flat_map(_cap_array(ca, i), lambda c: _insert_items_from(c, index, x, ctx))
+            # no element fits at index i, so the array stops short of it
+            return _flat_map(_cap_array(ca, i), lambda c: _insert_slots(c, lo, hi, x, ctx))
         items[i] = w
-    tail = all_xx(ca.tail, x, ctx)
-    if tail.has_clash:
-        return _cap_array(replace(ca, items=tuple(items)), len(items))
-    keep: list[tuple[int, CRef]] = []
-    pending: list[tuple[int, CRef]] = []
-    for idx, ref in ca.contains:
-        if idx >= index:
+    # entries that the grown slots cover are re-hosted; an open range meets the rest
+    pending = [e for e in ca.contains if e[0] < n]
+    keep = [e for e in ca.contains if e[0] >= n]
+    tail = ca.tail
+    if hi is None:
+        tail = all_xx(ca.tail, x, ctx)
+        if tail.has_clash:
+            # no element fits past the slots either, so the array ends with them
+            capped = _cap_array(replace(ca, items=tuple(items), contains=tuple(keep)), n)
+            return _relift(capped, pending, ctx)
+        for j, (idx, ref) in enumerate(keep):
             w = all_xx(ref, x, ctx)
             if w.has_clash:
                 return D_FALSE
-            keep.append((idx, w))
-        else:
-            pending.append((idx, ref))
+            keep[j] = (idx, w)
     base = replace(ca, items=tuple(items), tail=tail, contains=_sorted_contains(keep))
-    return _relift(Dnf((base,)), pending, ctx)
+    return _relift((base,), pending, ctx)
 
 
 def _insert_contains(ca: CArray, index: int, z: CRef, ctx: NormContext) -> Dnf:
@@ -659,12 +641,8 @@ def _insert_contains(ca: CArray, index: int, z: CRef, ctx: NormContext) -> Dnf:
         w = all_xx(z, ca.tail, ctx)
         if w.has_clash:
             return D_FALSE
-        # combine with the other obligations up front so the witness stage
-        # can read grouped combinations from the memo
-        for _, other in ca.contains:
-            all_xx(w, other, ctx)
         entries = _sorted_contains(ca.contains + ((index, w),))
-        return Dnf((replace(ca, contains=entries),))
+        return (replace(ca, contains=entries),)
     # the obligation may be met by one of the fixed slots or past them
     parts: list[Dnf] = []
     for j in range(index, n_a):
@@ -674,17 +652,17 @@ def _insert_contains(ca: CArray, index: int, z: CRef, ctx: NormContext) -> Dnf:
         items = ca.items[:j] + (w,) + ca.items[j + 1 :]
         hosted = replace(ca, items=items, min_items=max(ca.min_items, j + 1))
         if hosted.max_items is None or hosted.min_items <= hosted.max_items:
-            parts.append(Dnf((hosted,)))
+            parts.append((hosted,))
     parts.append(_insert_contains(ca, n_a, z, ctx))
     out = any_dd(parts)
-    ctx.note_width(len(out.conjs))
+    ctx.note_width(len(out))
     return out
 
 
 def _relift(d: Dnf, pending: list[tuple[int, CRef]], ctx: NormContext) -> Dnf:
     for idx, ref in pending:
         d = _flat_map(d, lambda c, i=idx, r=ref: _insert_contains(c, i, r, ctx)
-                      if isinstance(c, CArray) else Dnf((c,)))
+                      if isinstance(c, CArray) else (c,))
     return d
 
 
@@ -712,7 +690,7 @@ def _meet_number(a: CNumber, b: CNumber) -> Dnf:
             return D_FALSE
         if any((lo / q).denominator == 1 for q in excluded):
             return D_FALSE
-    return Dnf((CNumber(lo, lo_s, hi, hi_s, factor, excluded),))
+    return (CNumber(lo, lo_s, hi, hi_s, factor, excluded),)
 
 
 def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
@@ -750,13 +728,13 @@ def prepare(d: Dnf, ctx: NormContext) -> None:
             seen.add(ref)
             queue.append(ref)
 
-    for c in d.conjs:
+    for c in d:
         for ref in refs_of_conj(c):
             push(ref)
     while queue:
         ref = queue.pop()
         if ref.is_empty or ref.has_clash:
             continue
-        for c in memo_dnf(ref, ctx).conjs:
+        for c in memo_dnf(ref, ctx):
             for sub in refs_of_conj(c):
                 push(sub)

@@ -19,8 +19,7 @@ Regexes follow ECMA-262 search semantics: an unanchored pattern matches
 anywhere in the string, and ^/$ are honored wherever they occur. The
 supported subset excludes backreferences, lookaround and word boundary
 assertions; those raise UnsupportedRegexFeature.
-No automaton is written back as a regex: a regex keeps its source, and a
-name is written as an anchored literal (anchored_key_source).
+No automaton is written back as a regex: a regex keeps its source.
 """
 
 from __future__ import annotations
@@ -948,32 +947,3 @@ def p_examples(e: PatternExpr, k: int) -> list[str]:
             if t in live:
                 heapq.heappush(heap, (length + 1, text + chr(lo), t, hi))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Literal names as regex source, for serializing a key set in string position
-
-_META = set("\\^$.|?*+()[]{}/")
-_NAMED = {0x0A: "\\n", 0x0D: "\\r", 0x09: "\\t", 0x0C: "\\f", 0x0B: "\\v"}
-
-
-def _cp_source(cp: int) -> str:
-    if cp in _NAMED:
-        return _NAMED[cp]
-    ch = chr(cp)
-    if ch in _META:
-        return "\\" + ch
-    if 0x20 <= cp < 0x7F:
-        return ch
-    if cp <= 0xFFFF:
-        return f"\\u{cp:04x}"
-    return ch  # embedded literally; JSON escaping handles transport
-
-
-def escape_literal(text: str) -> str:
-    """Regex source matching exactly this text (for anchored key patterns)."""
-    return "".join(_cp_source(ord(c)) for c in text)
-
-
-def anchored_key_source(literal: str) -> str:
-    return "^" + escape_literal(literal) + "$"

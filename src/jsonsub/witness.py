@@ -105,7 +105,7 @@ class _Generator:
             return UNSAT
         if ref in self.solved:
             return self.solved[ref]
-        return UNSAT if memo_dnf(ref, self.ctx).is_false else _OPEN
+        return _OPEN if memo_dnf(ref, self.ctx) else UNSAT
 
     # -- fixpoint rounds
 
@@ -117,7 +117,7 @@ class _Generator:
                 if r not in self.solved and not r.has_clash:
                     universe.add(r)
 
-        for c in root.conjs:
+        for c in root:
             note(refs_of_conj(c))
         note(self.ctx.memo)
 
@@ -132,7 +132,7 @@ class _Generator:
                 if ref in self.solved:
                     continue
                 memo = self.ctx.memo.get(ref)
-                if not isinstance(memo, Dnf):
+                if not isinstance(memo, tuple):
                     continue
                 got = self.try_dnf(memo)
                 if got is not UNSAT:
@@ -145,7 +145,7 @@ class _Generator:
                 return UNSAT
 
     def try_dnf(self, d: Dnf):
-        for c in d.conjs:
+        for c in d:
             got = self.try_conj(c)
             if got is not _OPEN and got is not UNSAT:
                 return got

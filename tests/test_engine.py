@@ -8,11 +8,12 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import jsonschema
 import pytest
 
-from jsonsub import engine
+from jsonsub import engine, norm
 from jsonsub import patterns as P
 from jsonsub.engine import (
     OracleOutcome,
@@ -482,6 +483,48 @@ def draft6_valid(schema_text: str, value) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# array operators in every order: an items range that covers a containment
+# entry re-hosts it in the slots it grew
+
+ARRAY_OPS = [
+    {"contains": {"type": "string"}},
+    {"contains": {"type": "null"}},
+    {"items": [{"type": "number"}, {"type": "string"}]},
+    {"items": [True, True], "additionalItems": {"type": "null"}},
+    {"items": {"type": ["string", "null"]}},
+    {"maxItems": 3},
+]
+
+
+def test_array_operators_agree_in_every_order_and_with_the_oracle(monkeypatch):
+    rehosted = []
+    relift = norm._relift
+
+    def counting(d, pending, ctx):
+        rehosted.extend(pending)
+        return relift(d, pending, ctx)
+
+    monkeypatch.setattr(norm, "_relift", counting)
+    checks = 0
+    for size in (2, 3):
+        for ops in combinations(ARRAY_OPS, size):
+            for right in (False, {"maxItems": 1}, {"contains": {"type": "number"}}):
+                ldoc = load_document(exact({"allOf": list(ops)}), "left")
+                rdoc = load_document(exact(right), "right")
+                env = Env()
+                env.bindings.update(ldoc.env.bindings)
+                env.bindings.update(rdoc.env.bindings)
+                universe = derive_universe([ldoc.root, rdoc.root], env, max_width=3)
+                want = not oracle_included(ldoc.root, rdoc.root, env, universe).counterexample_found
+                for order in permutations(ops):
+                    got = check_inclusion(exact({"allOf": list(order)}), exact(right))
+                    assert got.included == want, (order, right, got.witness)
+                    checks += 1
+    assert checks == 450
+    assert rehosted
+
+
+# ---------------------------------------------------------------------------
 # equivalence relations
 
 
@@ -803,7 +846,7 @@ def _on_fresh_stack(fn, *args):
 
 
 def test_check_on_a_deep_guarded_cycle():
-    assert _on_fresh_stack(check_inclusion, *rec_depth(70)).included
+    assert _on_fresh_stack(check_inclusion, *rec_depth(78)).included
 
 
 def test_check_on_a_long_alias_chain():
@@ -821,6 +864,20 @@ def test_nested_one_of_ends_in_the_budget_without_a_walk_per_path():
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):
         check_inclusion(s, {"type": ["string", "null"]}, timeout=0.5)
+    assert time.monotonic() - start < 2.0
+
+
+def test_nested_one_of_under_a_property_ends_in_the_budget():
+    # stratification names the property's argument; looking its body up by
+    # the term's own hash would walk the shared expansion once per path
+    s = {"type": "string"}
+    for _ in range(22):
+        s = {"oneOf": [s, {"type": "null"}]}
+    left = {"properties": {"a": s}}
+    right = {"properties": {"a": {"type": ["string", "null"]}}}
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        check_inclusion(left, right, timeout=0.5)
     assert time.monotonic() - start < 2.0
 
 

@@ -41,6 +41,7 @@ from jsonsub.families import make_pair, rec_depth
 from jsonsub.model import (
     ALL_TYPES,
     TRUE,
+    CRef,
     Document,
     Env,
     RefName,
@@ -67,6 +68,7 @@ from jsonsub.model import (
 )
 from jsonsub.norm import NormContext, all_ck, all_cs, dnf_of, meet, prepare
 from jsonsub.values import parse_json
+from jsonsub.witness import generate
 
 from _family import gen_pair, gen_schema, universe_for
 
@@ -111,7 +113,7 @@ EMPTY = [
 @pytest.mark.parametrize("node", EMPTY, ids=[json.dumps(n)[:48] for n in EMPTY])
 def test_refuted_without_generation(node):
     dnf, _ = norm_of(node)
-    assert dnf.is_false
+    assert not dnf
 
 
 SATISFIABLE = [
@@ -129,7 +131,7 @@ SATISFIABLE = [
 )
 def test_satisfiable_keeps_disjuncts(node):
     dnf, _ = norm_of(node)
-    assert not dnf.is_false
+    assert dnf
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def test_meet_is_intersection_on_universe():
             env.bindings.update(d.env.bindings)
         roots = [stratify(expand_oneof_doc(Document(d.root, env))).root for d in ref_docs]
         ctx = NormContext(env)
-        left, right = (dnf_of(r, ctx).conjs for r in roots)
+        left, right = (dnf_of(r, ctx) for r in roots)
 
         def accepted(schema):
             holds = compile_validator(schema, env)
@@ -258,9 +260,9 @@ def _seeded_object(rng, env):
         c = CObject()
         for _ in range(rng.randint(0, 5)):
             d = all_ck(c, _object_op(rng), ctx)
-            if d.is_false:
+            if not d:
                 break
-            c = rng.choice(d.conjs)
+            c = rng.choice(d)
         else:
             return c
 
@@ -275,12 +277,12 @@ def test_fast_insertion_is_false_exactly_when_the_full_one_is():
         held = sum(1 for f in c.fragments if f.reqs)
         for _ in range(3):
             k = _field_op(rng)
-            fast = all_ck(c, k, NormContext(env), fast=True).is_false
-            assert fast == all_ck(c, k, NormContext(env)).is_false, (c, k)
+            fast = not all_ck(c, k, NormContext(env), fast=True)
+            assert fast == (not all_ck(c, k, NormContext(env))), (c, k)
             seen[type(k).__name__, budget and held > 0, fast] += 1
         neg = SNot(SAllOf(tuple(_object_op(rng) for _ in range(rng.randint(2, 4)))))
-        fast = all_cs(c, neg, NormContext(env), fast=True).is_false
-        assert fast == all_cs(c, neg, NormContext(env)).is_false, (c, neg)
+        fast = not all_cs(c, neg, NormContext(env), fast=True)
+        assert fast == (not all_cs(c, neg, NormContext(env))), (c, neg)
         seen["negated allOf", fast] += 1
     # both answers occur for both operators, on objects under a field budget
     # that already hold requirements too
@@ -335,9 +337,9 @@ def _seeded_conjs(rng, env):
         ops = [k for k in _typed_ops(rng) if OP_TYPE[type(k)] == conj_type(c)]
         for _ in range(rng.randint(0, 4)):
             d = all_ck(c, rng.choice(ops), ctx)
-            if d.is_false:
+            if not d:
                 break
-            c = rng.choice(d.conjs)
+            c = rng.choice(d)
         out.append(c)
     return out
 
@@ -357,9 +359,9 @@ def test_negated_operator_enters_as_its_type_and_dual():
             for k in ops:
                 got = all_cs(c, SNot(k), NormContext(env))
                 assert got == all_cs(c, not_push(k), NormContext(env)), (c, k)
-                fast = all_cs(c, SNot(k), NormContext(env), fast=True).is_false
-                assert fast == got.is_false or (isinstance(k, SItemAt) and not fast), (c, k)
-                seen[type(c).__name__, got.is_false] += 1
+                fast = not all_cs(c, SNot(k), NormContext(env), fast=True)
+                assert fast == (not got) or (isinstance(k, SItemAt) and not fast), (c, k)
+                seen[type(c).__name__, not got] += 1
     for name in ("CTypeSet", "CObject", "CArray", "CNumber", "CString"):
         assert seen[name, True] and seen[name, False], seen
 
@@ -434,11 +436,27 @@ ARRAYISH = [
 def test_contains_entries_follow_item_slots(node):
     dnf, ctx = norm_of(node)
     prepare(dnf, ctx)
-    assert not dnf.is_false
+    assert dnf
     seen = 0
-    for conj in dnf.conjs:
+    for conj in dnf:
         if isinstance(conj, CArray):
             seen += 1
             for index, _ in conj.contains:
                 assert index >= len(conj.items)
     assert seen > 0
+
+
+def test_a_range_whose_tail_clashes_re_hosts_the_entries_it_covers():
+    # an array of strings that contains one, then numbers from index 2 on:
+    # nothing fits past index 1, so the entry moves into the two slots
+    # instead of staying past them, where no element could meet it
+    s, n = RefName("#/s"), RefName("#/n")
+    ctx = NormContext(Env(_BODIES))
+    ca = CArray(tail=CRef((s,)), contains=((0, CRef((s,))),))
+    d = all_ck(ca, SItemsFrom(2, SRefSingle(n)), ctx)
+    assert d
+    for conj in d:
+        assert conj.max_items == 2
+        assert all(index >= len(conj.items) for index, _ in conj.contains)
+    prepare(d, ctx)
+    assert generate(d, ctx) == [""]

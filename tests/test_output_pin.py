@@ -26,13 +26,13 @@ from _family import gen_pair
 DIGEST = "f226897ce8927be71952ed7ca3661043bf2b79d4f974fff2362816e55de7660b"
 
 TOTALS = {
-    "steps": 768_680,
-    "fast_path_hits": 10_332,
-    "fast_path_misses": 28_993,
-    "crefs_created": 8_218,
-    "memo_hits": 44_103,
-    "max_disjuncts": 21_099,
-    "cs_calls": 343_066,
+    "steps": 759_439,
+    "fast_path_hits": 10_313,
+    "fast_path_misses": 28_918,
+    "crefs_created": 8_133,
+    "memo_hits": 43_647,
+    "max_disjuncts": 21_092,
+    "cs_calls": 342_437,
     "gen_rounds": 3_412,
     "gen_budget_hits": 0,
     "generation_invoked": 2_673,

@@ -290,14 +290,6 @@ def test_unsupported_regex_features_are_flagged():
             P.compile_pattern(P.regex(bad))
 
 
-def test_escape_literal_round_trip():
-    for lit in ["a.b", "x*", "[]", "a{2}", "^$", "\\"]:
-        src = P.escape_literal(lit)
-        rx = re.compile(src)
-        assert rx.search(lit)
-        assert not rx.search(lit + "!") or lit + "!" != lit
-
-
 pattern_exprs = st.recursive(
     st.one_of(
         st.sampled_from([P.regex(s) for s in SOURCES[:8]]),
