@@ -7,7 +7,7 @@ bottom-up generator either produces a concrete counterexample or proves
 that none exists.
 """
 
-from .compat import parse_schema, serialize
+from .compat import parse_schema
 from .engine import (
     EquivalenceResult,
     InclusionResult,
@@ -70,5 +70,4 @@ __all__ = [
     "parse_schema",
     "satisfies",
     "satisfies_value",
-    "serialize",
 ]

@@ -1,18 +1,10 @@
-"""Draft-06 translation to schema terms and back.
+"""Draft-06 translation to schema terms.
 
 The supported keyword subset is translated exactly; anything outside it
 fails loudly with UnsupportedKeyword instead of being skipped. Only
 document-local $ref targets are resolved. Annotation keywords carry no
 constraints and are ignored; $ref siblings are ignored as Draft-06
 prescribes. integer becomes number restricted to a whole-number factor.
-
-Serialization emits plain Draft-06 again. An operator without a keyword
-of its own is written as "off its type, or not its dual". A property-name
-set is written as the keywords the parser reads it from (properties,
-patternProperties, additionalProperties beside them); one that only
-normalization builds, such as an intersection or a length bound, raises
-UnsupportedFeature. A string pattern of names is an enum, so no regex
-is written that the input did not hold.
 """
 
 from __future__ import annotations
@@ -21,16 +13,12 @@ from fractions import Fraction
 from typing import Any
 
 from . import patterns as P
-from .canon import OP_TYPE, dual
 from .errors import MalformedSchema, UnresolvableRef, UnsupportedFeature, UnsupportedKeyword
 from .model import (
     Document,
     Env,
     FALSE,
     RefName,
-    SAllOf,
-    SAnyOf,
-    SBool,
     SConst,
     SContainsFrom,
     SItemAt,
@@ -42,18 +30,12 @@ from .model import (
     SMinProps,
     SMinimum,
     SMultipleOf,
-    SNot,
-    SNotConst,
-    SNotMultipleOf,
     SOneOf,
     SPattern,
     SPatternProps,
     SPatternReq,
-    SRef,
     SRefSingle,
-    SRepeatedItems,
     SType,
-    STypeSet,
     SUniqueItems,
     Schema,
     TRUE,
@@ -325,185 +307,3 @@ def _expect_count(node: Any, keyword: str) -> int:
         raise MalformedSchema(f"{keyword} must be a non-negative integer: {node!r}")
     return int(q)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def serialize(doc: Document) -> Any:
-    """Render a document back to a plain Draft-06 JSON value."""
-    ser = _Serializer(doc.env)
-    body = ser.schema(doc.root)
-    if ser.slots:
-        defs = {}
-        for uri, slot in sorted(ser.slots.items(), key=lambda kv: kv[1]):
-            defs[slot] = ser.body_for(uri)
-        if body is True:
-            body = {"definitions": defs}
-        elif body is False:
-            body = {"definitions": defs, "not": True}
-        elif isinstance(body, dict):
-            body = dict(body)
-            body["definitions"] = defs
-        return body
-    return body
-
-
-class _Serializer:
-    def __init__(self, env: Env):
-        self.env = env
-        self.slots: dict[str, str] = {}
-        self.emitted: dict[str, Any] = {}
-
-    def slot_for(self, uri: str) -> str:
-        if uri not in self.slots:
-            self.slots[uri] = f"r{len(self.slots)}"
-            self.emitted[uri] = None  # reserve; filled by body_for
-            body = self.env.bindings.get(RefName(uri))
-            if body is None:
-                body = s_not(self.env.body(RefName(uri, True)))
-            self.emitted[uri] = self.schema(body)
-        return self.slots[uri]
-
-    def body_for(self, uri: str) -> Any:
-        return self.emitted[uri]
-
-    def ref_schema(self, name: RefName) -> Any:
-        slot = self.slot_for(name.uri)
-        target = {"$ref": f"#/definitions/{slot}"}
-        if name.negated:
-            return {"not": target}
-        return target
-
-    def schema(self, s: Schema) -> Any:
-        if isinstance(s, (SRepeatedItems, SNotMultipleOf)) or (
-            isinstance(s, SContainsFrom) and s.index > 0
-        ):
-            return self.by_dual(s)
-        if isinstance(s, SBool):
-            return s.value
-        if isinstance(s, SRef):
-            if s.ref.is_empty:
-                return True
-            parts = [self.ref_schema(m) for m in s.ref.sorted_members()]
-            if len(parts) == 1:
-                return parts[0]
-            return {"allOf": parts}
-        if isinstance(s, SAllOf):
-            return {"allOf": [self.schema(i) for i in s.items]}
-        if isinstance(s, SAnyOf):
-            return {"anyOf": [self.schema(i) for i in s.items]}
-        if isinstance(s, SOneOf):
-            if not s.items:
-                return False
-            return {"oneOf": [self.schema(i) for i in s.items]}
-        if isinstance(s, SNot):
-            return {"not": self.schema(s.item)}
-        if isinstance(s, SType):
-            return {"type": s.name}
-        if isinstance(s, STypeSet):
-            return {"type": sorted(s.names)}
-        if isinstance(s, SConst):
-            return {"const": s.value}
-        if isinstance(s, SNotConst):
-            return {"not": {"const": s.value}}
-        if isinstance(s, SPatternProps):
-            return self.pattern_props(s)
-        if isinstance(s, SPatternReq):
-            return self.pattern_req(s)
-        if isinstance(s, SMinProps):
-            return {"minProperties": s.bound}
-        if isinstance(s, SMaxProps):
-            return {"maxProperties": s.bound}
-        if isinstance(s, SItemAt):
-            return {"items": [True] * s.index + [self.schema(s.schema)]}
-        if isinstance(s, SItemsFrom):
-            if s.index == 0:
-                return {"items": self.schema(s.schema)}
-            return {"items": [True] * s.index, "additionalItems": self.schema(s.schema)}
-        if isinstance(s, SContainsFrom):
-            return {"contains": self.schema(s.schema)}
-        if isinstance(s, SMinItems):
-            return {"minItems": s.bound}
-        if isinstance(s, SMaxItems):
-            return {"maxItems": s.bound}
-        if isinstance(s, SUniqueItems):
-            return {"uniqueItems": True}
-        if isinstance(s, SMinimum):
-            return {"exclusiveMinimum" if s.exclusive else "minimum": s.bound}
-        if isinstance(s, SMaximum):
-            return {"exclusiveMaximum" if s.exclusive else "maximum": s.bound}
-        if isinstance(s, SMultipleOf):
-            return {"multipleOf": s.factor}
-        if isinstance(s, SPattern):
-            return self.string_pattern(s.pattern)
-        raise AssertionError(f"cannot serialize {s!r}")
-
-    def pattern_props(self, s: SPatternProps) -> Any:
-        if P.p_is_empty(s.pattern):
-            return True
-        return self.names_to(s.pattern, self.schema(s.schema))
-
-    def names_to(self, e: P.PatternExpr, sub: Any) -> Any:
-        """Every property whose name is in e satisfies sub, written with the
-        keywords that parse to e."""
-        if type(e) is P.PRegex:
-            return {"patternProperties": {e.source: sub}}
-        if type(e) is P.PKeys and not e.cofinite:
-            return {"properties": dict.fromkeys(sorted(e.names), sub)}
-        if type(e) is P.PAny:
-            return {"allOf": [self.names_to(i, sub) for i in e.items]}
-        # the complement of names and regexes: additionalProperties beside them
-        inner = P.p_not(e)
-        body: dict[str, Any] = {}
-        for i in inner.items if type(inner) is P.PAny else (inner,):
-            if type(i) is P.PRegex:
-                body.setdefault("patternProperties", {})[i.source] = True
-            elif type(i) is P.PKeys and not i.cofinite:
-                if i.names:  # none when e is every name
-                    body["properties"] = dict.fromkeys(sorted(i.names), True)
-            else:
-                raise UnsupportedFeature(f"no Draft-06 keyword for the property names {e!r}")
-        body["additionalProperties"] = sub
-        return body
-
-    def pattern_req(self, s: SPatternReq) -> Any:
-        if P.p_is_empty(s.pattern):
-            return {"not": {"type": "object"}}
-        lit = P.key_literal(s.pattern)
-        if lit is not None:
-            body = {"required": [lit]}
-            sub = self.schema(s.schema)
-            if sub is not True:
-                body["properties"] = {lit: sub}
-            return body
-        return self.by_dual(s)
-
-    def by_dual(self, s: Schema) -> Any:
-        """A type-guarded operator with no keyword of its own: a value off
-        its type, or one that fails its dual."""
-        return {"anyOf": [{"not": {"type": OP_TYPE[type(s)]}}, {"not": self.schema(dual(s))}]}
-
-    def string_pattern(self, e: P.PatternExpr) -> Any:
-        if isinstance(e, P.PRegex):
-            return {"pattern": e.source}
-        if isinstance(e, P.PKeys):
-            if e.cofinite:
-                return self.string_pattern(P.PNot(P.p_not(e)))
-            if not e.names:
-                return {"not": {"type": "string"}}
-            # an enum, not an anchored regex, whose "$" Python's re also
-            # matches before a final newline
-            return {"not": {"type": "string", "not": {"enum": sorted(e.names)}}}
-        if isinstance(e, P.PMinLen):
-            return {"minLength": e.bound}
-        if isinstance(e, P.PMaxLen):
-            return {"maxLength": e.bound}
-        if isinstance(e, P.PAll):
-            return {"allOf": [self.string_pattern(i) for i in e.items]}
-        if isinstance(e, P.PAny):
-            return {"anyOf": [self.string_pattern(i) for i in e.items]}
-        if isinstance(e, P.PNot):
-            inner = self.string_pattern(e.item)
-            return {"anyOf": [{"not": {"type": "string"}}, {"not": inner}]}
-        raise AssertionError(f"cannot serialize pattern {e!r}")
