@@ -10,10 +10,12 @@ A disjunction (Dnf) is an alias for a plain tuple of such disjuncts.
 
 The negation rewrite pushes a single negation one level down: a negated
 type-guarded operator becomes its type (OP_TYPE) plus its dual, the
-operators that hold on that type exactly where it fails. oneOf is
-expanded into anyOf over exclusive conjunctions before normalization,
-and stratification replaces every structural argument with a single-name
-reference, so that normalization only ever meets references there.
+operators that hold on that type exactly where it fails. Before
+normalization, stratification replaces every structural argument with a
+single-name reference, so that normalization only ever meets references
+there; it walks the loaded terms, which are trees. oneOf is expanded after
+it, into anyOf over exclusive conjunctions that share children between
+branches, which a tree walk would visit once per path.
 """
 
 from __future__ import annotations
@@ -407,32 +409,12 @@ def expand_oneof_doc(doc: Document) -> Document:
 class _Stratifier:
     def __init__(self, env: Env):
         self.env = env
-        self.by_body: dict[object, RefName] = {}
-        # id(term) -> (term, its walk) for terms with children, which oneOf
-        # expansion shares between branches; holding the term keeps its id
-        self.walked: dict[int, tuple[Schema, Schema]] = {}
-        # id(term) -> (term, its key); a key with children is numbered
-        self.keys: dict[int, tuple[Schema, object]] = {}
-        self.numbers: dict[tuple, int] = {}
+        # by value: a body's own structural arguments are names already
+        self.by_body: dict[Schema, RefName] = {}
         self.counter = 0
 
-    def key(self, s: Schema) -> object:
-        """Equal for structurally equal terms, computed once per term: a
-        term's own hash walks a shared oneOf expansion as a tree. A leaf
-        keys as itself, any other term as a number."""
-        kids = child_schemas(s)
-        if not kids:
-            return s
-        hit = self.keys.get(id(s))
-        if hit is None:
-            field = getattr(s, "pattern", getattr(s, "index", None))
-            shape = (type(s), field, tuple(map(self.key, kids)))
-            hit = self.keys[id(s)] = (s, self.numbers.setdefault(shape, len(self.numbers)))
-        return hit[1]
-
     def name_for(self, body: Schema) -> RefName:
-        key = self.key(body)
-        hit = self.by_body.get(key)
+        hit = self.by_body.get(body)
         if hit is not None:
             return hit
         while True:
@@ -441,7 +423,7 @@ class _Stratifier:
             if name not in self.env.bindings:
                 break
         self.env.bind(name, body)
-        self.by_body[key] = name
+        self.by_body[body] = name
         return name
 
     def arg(self, s: Schema) -> Schema:
@@ -454,20 +436,17 @@ class _Stratifier:
         kids = child_schemas(s)
         if not kids:
             return s
-        hit = self.walked.get(id(s))
-        if hit is not None:
-            return hit[1]
         if type(s) in STRUCTURAL:
             arg = self.arg(s.schema)
-            out = s if arg is s.schema else rebuild(s, (arg,))
-        else:
-            new_kids = tuple(map(self.walk, kids))
-            out = rebuild(s, new_kids) if any(map(is_not, new_kids, kids)) else s
-        self.walked[id(s)] = (s, out)
-        return out
+            return s if arg is s.schema else rebuild(s, (arg,))
+        new_kids = tuple(map(self.walk, kids))
+        return rebuild(s, new_kids) if any(map(is_not, new_kids, kids)) else s
 
 
 def stratify(doc: Document) -> Document:
+    """doc with every structural argument replaced by a single-name
+    reference, each distinct body bound once. It walks a term once per
+    occurrence, so it runs before expand_oneof_doc shares any."""
     st = _Stratifier(doc.env)
     for name in list(doc.env.bindings):
         doc.env.bindings[name] = st.walk(doc.env.bindings[name])

@@ -359,29 +359,25 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
                      help="wall clock budget in seconds")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jsonsub", description="JSON Schema inclusion checker"
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("check", help="decide left <: right")
+def _add_pair_command(subs, name: str, help: str, run) -> None:
+    p = subs.add_parser(name, help=help)
     p.add_argument("left")
     p.add_argument("right")
     _add_budget_flags(p)
     p.add_argument("--witness-out", help="write the counterexample here")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=cmd_check)
+    p.set_defaults(run=run)
 
-    p = subs.add_parser("equiv", help="decide mutual inclusion")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_budget_flags(p)
-    p.add_argument("--witness-out")
-    p.add_argument("--stats", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=cmd_equiv)
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="jsonsub", description="JSON Schema inclusion checker"
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    _add_pair_command(subs, "check", "decide left <: right", cmd_check)
+    _add_pair_command(subs, "equiv", "decide mutual inclusion", cmd_equiv)
 
     p = subs.add_parser("validate", help="test a JSON value against a schema")
     p.add_argument("value")

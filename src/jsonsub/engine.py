@@ -337,8 +337,8 @@ def _require_well_formed(s1: Schema, s2: Schema, env: Env) -> None:
 
 def _decide(s1: Schema, s2: Schema, env: Env, max_steps: int, timeout: float) -> InclusionResult:
     """check_inclusion_terms on terms already known to be well formed."""
-    doc = expand_oneof_doc(Document(s_all_of((s1, s_not(s2))), env.copy()))
-    doc = stratify(doc)
+    doc = stratify(Document(s_all_of((s1, s_not(s2))), env.copy()))
+    doc = expand_oneof_doc(doc)
 
     ctx = NormContext(doc.env, max_steps=max_steps, timeout=timeout)
     start = time.monotonic()
@@ -469,8 +469,8 @@ def iter_universe(params: UniverseParams) -> Iterator[Any]:
     """Every value within the bounds, smallest first, deterministically.
 
     Order within one size class: null, false, true, numbers ascending,
-    strings in parameter order, then arrays, then objects.  Sizes follow
-    `values.value_size` (containers cost 1 plus their children).
+    strings in parameter order, then arrays, then objects.  A value's size
+    is its node count: a container costs 1 plus its children.
     """
     numbers = sorted({Fraction(q) for q in params.numbers})
     strings = list(dict.fromkeys(params.strings))

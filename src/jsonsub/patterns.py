@@ -25,6 +25,7 @@ No automaton is written back as a regex: a regex keeps its source.
 from __future__ import annotations
 
 import heapq
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -267,6 +268,18 @@ def _parse_regex(src: str):
     return ast
 
 
+# ECMA-262 reads only ASCII digits, where str.isdigit() and int() take any
+_DECIMAL = frozenset("0123456789")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_QUANTIFIER = re.compile(r"\{([0-9]+)(?:,([0-9]*))?\}")
+
+
+def _bound(digits: str) -> int:
+    # int() refuses thousands of digits; any bound that wide is over MAX_BOUND
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= len(str(MAX_BOUND)) else MAX_BOUND + 1
+
+
 class _RegexParser:
     def __init__(self, src: str):
         self.src = src
@@ -328,49 +341,21 @@ class _RegexParser:
         return node
 
     def _try_quantifier(self) -> Optional[tuple[int, Optional[int]]]:
-        start = self.pos
-        self.take()  # '{'
-        digits = self._digits()
-        if digits is None:
-            self.pos = start
+        """The bounds of the {lo}, {lo,} or {lo,hi} at the cursor, read past
+        it; None, the cursor unmoved, where the brace is a literal."""
+        m = _QUANTIFIER.match(self.src, self.pos)
+        if m is None:
             return None
-        lo = digits
-        hi: Optional[int]
-        ch = self.peek()
-        if ch == "}":
-            self.take()
-            hi = lo
-        elif ch == ",":
-            self.take()
-            if self.peek() == "}":
-                self.take()
-                hi = None
-            else:
-                digits = self._digits()
-                if digits is None or self.peek() != "}":
-                    self.pos = start
-                    return None
-                self.take()
-                hi = digits
-        else:
-            self.pos = start
-            return None
+        self.pos = m.end()
+        lo = _bound(m[1])
+        hi = lo if m[2] is None else _bound(m[2]) if m[2] else None
         if hi is not None and hi < lo:
             raise MalformedSchema(f"reversed repetition bounds in regex: {self.src!r}")
-        cap = hi if hi is not None else lo
-        if cap > MAX_BOUND:
+        if (hi or lo) > MAX_BOUND:
             raise UnsupportedRegexFeature(
-                f"repetition bound {cap} above the supported limit {MAX_BOUND}"
+                f"repetition bound {m[2] or m[1]} above the supported limit {MAX_BOUND}"
             )
         return (lo, hi)
-
-    def _digits(self) -> Optional[int]:
-        start = self.pos
-        while self.peek() is not None and self.peek().isdigit():
-            self.take()
-        if self.pos == start:
-            return None
-        return int(self.src[start : self.pos])
 
     def atom(self):
         ch = self.peek()
@@ -477,7 +462,7 @@ class _RegexParser:
         if ch in simple:
             return simple[ch]
         if ch == "0":
-            if self.peek() is not None and self.peek().isdigit():
+            if self.peek() in _DECIMAL:
                 raise MalformedSchema(f"octal escape in regex: {self.src!r}")
             return 0
         if ch == "b":
@@ -505,15 +490,11 @@ class _RegexParser:
         return ord(ch)
 
     def _hex(self, width: int) -> int:
-        if self.pos + width > len(self.src):
-            raise MalformedSchema(f"truncated hex escape in regex: {self.src!r}")
         chunk = self.src[self.pos : self.pos + width]
-        try:
-            cp = int(chunk, 16)
-        except ValueError:
-            raise MalformedSchema(f"bad hex escape in regex: {self.src!r}") from None
+        if len(chunk) < width or not _HEX_DIGITS.issuperset(chunk):
+            raise MalformedSchema(f"hex escape needs {width} hex digits in regex: {self.src!r}")
         self.pos += width
-        return cp
+        return int(chunk, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -17,21 +17,23 @@ TYPE_NAMES = ("null", "boolean", "number", "string", "array", "object")
 
 
 def parse_json(text: str) -> Any:
-    """Parse JSON text into a tree whose numbers are Fractions. Text nested
-    deeper than the interpreter's stack allows is a ValueError, as any
-    other text that cannot be read."""
+    """Parse JSON text into a tree whose numbers are Fractions. NaN and
+    Infinity, which JSON lacks, and text nested deeper than the stack
+    allows are a ValueError, as any other text that cannot be read."""
     try:
-        return _exactify(json.loads(text, parse_float=Decimal))
+        return _exactify(json.loads(text, parse_float=Decimal, parse_constant=_no_constant))
     except RecursionError:
         raise ValueError("JSON text nests too deeply to parse") from None
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _exactify(node: Any) -> Any:
     if isinstance(node, bool) or node is None or isinstance(node, str):
         return node
-    if isinstance(node, Decimal):
-        return Fraction(node)
-    if isinstance(node, int):
+    if isinstance(node, (Decimal, int)):
         return Fraction(node)
     if isinstance(node, list):
         return [_exactify(x) for x in node]
@@ -106,15 +108,6 @@ def canonical_key(v: Any):
 
 def json_equal(a: Any, b: Any) -> bool:
     return canonical_key(a) == canonical_key(b)
-
-
-def value_size(v: Any) -> int:
-    """Node count of a JSON value."""
-    if isinstance(v, list):
-        return 1 + sum(value_size(x) for x in v)
-    if isinstance(v, dict):
-        return 1 + sum(value_size(x) for x in v.values())
-    return 1
 
 
 def dump_json(v: Any, indent: int | None = 2) -> str:

@@ -213,8 +213,8 @@ def test_c3_normalization_agreement():
         params = universe_for([ref])
 
         doc = load_document(parse_json(text))
-        doc = expand_oneof_doc(doc)
         doc = stratify(doc)
+        doc = expand_oneof_doc(doc)
         rebuilt = dnf_to_schema(dnf_of(doc.root, NormContext(doc.env)))
 
         got = compile_validator(rebuilt, doc.env)

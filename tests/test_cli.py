@@ -378,3 +378,16 @@ def test_check_on_a_too_deeply_nested_file_is_an_input_error(tmp_path, capsys):
     assert main(["check", left, right]) == 2
     err = capsys.readouterr().err
     assert "too deeply" in err and "internal error" not in err
+
+
+def test_a_nan_or_infinity_in_an_input_file_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "nan.json").write_text('{"minimum": NaN}', encoding="utf-8")
+    (tmp_path / "inf.json").write_text('{"maximum": -Infinity}', encoding="utf-8")
+    right = put(tmp_path, "right.json", {"type": "number"})
+    assert main(["check", str(tmp_path / "nan.json"), right]) == 2
+    err = capsys.readouterr().err
+    assert "NaN is not a JSON number" in err and "internal error" not in err
+    manifest = tmp_path / "runs.csv"
+    manifest.write_text("left,right\nright.json,inf.json\n", encoding="utf-8")
+    assert main(["batch", str(manifest)]) == 2
+    assert "-Infinity is not a JSON number" in capsys.readouterr().err

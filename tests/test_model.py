@@ -298,7 +298,7 @@ def _pin_documents():
         yield ldoc
         yield rdoc
         env = Env({**ldoc.env.bindings, **rdoc.env.bindings})
-        yield stratify(expand_oneof_doc(Document(s_all_of((ldoc.root, s_not(rdoc.root))), env)))
+        yield expand_oneof_doc(stratify(Document(s_all_of((ldoc.root, s_not(rdoc.root))), env)))
 
 
 def test_iter_refs_agrees_with_the_recursive_walk():

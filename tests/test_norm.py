@@ -79,8 +79,8 @@ def exact(node):
 
 def norm_of(node, **ctx_args):
     doc = load_document(exact(node))
-    doc = expand_oneof_doc(doc)
     doc = stratify(doc)
+    doc = expand_oneof_doc(doc)
     ctx = NormContext(doc.env, **ctx_args)
     return dnf_of(doc.root, ctx), ctx
 
@@ -146,8 +146,8 @@ def test_dnf_matches_source_on_universe():
         params = universe_for([ref_doc])
 
         doc = load_document(exact(node))
-        doc = expand_oneof_doc(doc)
         doc = stratify(doc)
+        doc = expand_oneof_doc(doc)
         ctx = NormContext(doc.env)
         rebuilt = dnf_to_schema(dnf_of(doc.root, ctx))
 
@@ -174,7 +174,7 @@ def test_meet_is_intersection_on_universe():
         env = Env()
         for d in ref_docs:
             env.bindings.update(d.env.bindings)
-        roots = [stratify(expand_oneof_doc(Document(d.root, env))).root for d in ref_docs]
+        roots = [expand_oneof_doc(stratify(Document(d.root, env))).root for d in ref_docs]
         ctx = NormContext(env)
         left, right = (dnf_of(r, ctx) for r in roots)
 

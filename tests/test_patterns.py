@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jsonsub import patterns as P
-from jsonsub.errors import UnsupportedRegexFeature
+from jsonsub.errors import MalformedSchema, UnsupportedRegexFeature
 
 SOURCES = [
     "^a",
@@ -288,6 +288,28 @@ def test_unsupported_regex_features_are_flagged():
     for bad in ["(?=a)", "(?<=a)", r"\bword", r"(a)\1", r"\p{L}"]:
         with pytest.raises(UnsupportedRegexFeature):
             P.compile_pattern(P.regex(bad))
+
+
+def test_a_brace_with_non_ascii_digits_is_a_literal():
+    # ECMA-262 reads ASCII digits only; str.isdigit() and int() take others
+    for src, text in (("a{٣}", "a{٣}"), ("a{²}", "a{²}"), ("a{1,٣}", "a{1,٣}")):
+        e = P.regex(src)
+        assert P.p_matches(e, text) and not P.p_matches(e, "aaa")
+    # after \0 a non-ASCII digit is a plain character, not an octal escape
+    assert P.p_matches(P.regex("^\\0٣$"), "\0٣")
+
+
+def test_a_hex_escape_takes_exactly_its_width_of_hex_digits():
+    for bad in ("^\\u1_00$", "^\\x+1$", "^\\x 1$", "^\\u+123$", "\\x٣٣", "\\u1", "\\x"):
+        with pytest.raises(MalformedSchema, match="hex escape"):
+            P.regex(bad)
+    assert P.p_matches(P.regex("^\\u0100\\x41$"), "ĀA")
+
+
+def test_a_repetition_bound_of_thousands_of_digits_is_a_typed_error():
+    with pytest.raises(UnsupportedRegexFeature, match="supported limit"):
+        P.regex("a{" + "9" * 5000 + "}")
+    assert P.p_matches(P.regex("^a{" + "0" * 5000 + "2}$"), "aa")
 
 
 pattern_exprs = st.recursive(

@@ -21,7 +21,6 @@ from jsonsub.values import (
     json_equal,
     json_type,
     parse_json,
-    value_size,
 )
 
 
@@ -90,13 +89,6 @@ def test_canonical_key_hashable_and_discriminating():
     assert canonical_key([1, {"b": "x"}]) == canonical_key([Fraction(1), {"b": "x"}])
 
 
-def test_value_size_counts_nodes():
-    assert value_size(None) == 1
-    assert value_size([1, 2]) == 3
-    assert value_size({"a": [1]}) == 3
-    assert value_size([]) == 1 and value_size({}) == 1
-
-
 def test_dump_json_exact_decimals_and_sorted_keys():
     text = dump_json({"b": Fraction(1, 10), "a": [Fraction(-5, 2), "x"]}, indent=None)
     # oracle: stdlib json sees the same structure with float payloads
@@ -143,3 +135,10 @@ def test_parse_json_on_too_deeply_nested_text_is_a_value_error():
         with pytest.raises(ValueError, match="too deeply"):
             parse_json(text)
     assert parse_json('{"a": ' * 200 + "0.5" + "}" * 200) is not None
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_parse_json_rejects_the_non_json_constants(constant):
+    # Python's json module reads them as floats; JSON has no such numbers
+    with pytest.raises(ValueError, match="not a JSON number"):
+        parse_json('{"minimum": %s}' % constant)
