@@ -322,7 +322,9 @@ def check_inclusion_terms(
 
     The caller's environment is never mutated; the refutation pipeline
     works on a copy.  A returned witness has already been validated: it
-    satisfies s1 and violates s2 under `satisfies`.
+    satisfies s1 and violates s2 under `satisfies`.  The terms should be
+    trees: `well_formed` and `stratify` walk a shared subterm once per
+    path, before any budget runs.
     """
     _require_well_formed(s1, s2, env)
     return _decide(s1, s2, env, max_steps, timeout)

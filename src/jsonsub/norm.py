@@ -4,12 +4,25 @@ The entry point folds a schema term into a disjunction of canonical
 conjunctions, a plain tuple of them (canon.Dnf), the empty tuple being
 false. It works lazily: all_cs folds an allOf one term at a time over the
 running disjuncts, and refutes it as soon as any prefix collapses to the
-empty disjunction. A cheap refutational pass, fast_check, first meets the
-conjunction with each conjunct alone, so that a contradiction anywhere in
-an allOf is found before the terms ahead of it are normalized; it answers
-with the empty disjunction or with the conjunction it was given. It
-answers liveness and builds no conjunction: it stops at the first live
-outcome.
+empty disjunction. The fold takes the conjuncts narrowest first, by a
+static estimate of the disjuncts each spreads into (_width: anyOf sums,
+allOf multiplies, the two swap under not; a reference counts 2, any other
+term 1; capped at 2^20), so a conjunct that refutes the rest is met
+before a wide one multiplies the running disjuncts. The sort is stable.
+Expanded oneOfs share children, so the estimate is cached on the context
+by term identity; an entry keeps its term alive, so the id stays its own.
+
+A cheap refutational pass, fast_check, meets the conjunction with each
+conjunct alone, so that a contradiction anywhere in an allOf is found
+before the terms ahead of it are normalized; it answers with the empty
+disjunction or with the conjunction it was given. It answers liveness
+and builds no conjunction: it stops at the first live outcome. When the
+conjunction is not C_TRUE, or the caller is itself fast, it runs before
+the fold. At C_TRUE it waits until the fold first spreads past one
+disjunct with two or more conjuncts still ahead, and then probes those:
+until then the fold costs no more than the pass would, and a conjunct
+that refutes alone but sorts after a wide one is still met before the
+running disjuncts multiply.
 
 Two canonical conjunctions are intersected by one routine, meet. A type,
 constant, number or string operator enters as its own canonical
@@ -133,6 +146,9 @@ class NormContext:
         self.env = env
         # reference set -> its body's disjunction, or IN_PROGRESS
         self.memo: dict[CRef, object] = {}
+        # (id(term), neg) -> (term, _width(term, neg)); the entry keeps its
+        # term alive, so the id stays its own
+        self.widths: dict[tuple[int, bool], tuple[Schema, int]] = {}
         self.stats = Stats()
         self.max_steps = max_steps
         self.deadline = time.monotonic() + timeout
@@ -205,22 +221,59 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
         ctx.note_width(len(out))
         return out
     if isinstance(s, SAllOf):
-        d = fast_check(c, s.items, ctx)
-        if fast or not d:
-            return d
-        d = all_cs(c, s.items[0], ctx)
-        for item in s.items[1:]:
+        probed = fast or c is not C_TRUE
+        if probed:
+            d = fast_check(c, s.items, ctx)
+            if fast or not d:
+                return d
+        items = sorted(s.items, key=lambda it: _width(it, False, ctx))
+        d = all_cs(c, items[0], ctx)
+        for i in range(1, len(items)):
             ctx.tick()
             if not d:
                 return D_FALSE
+            if not probed and len(d) > 1 and i + 1 < len(items):
+                # the fold has spread, and a wider conjunct still ahead may
+                # refute the allOf alone: probe them before they multiply it
+                probed = True
+                if not fast_check(c, items[i:], ctx):
+                    return D_FALSE
             # loops, not comprehensions: each would cost a frame per reference level
             parts = []
             for c2 in d:
-                parts.append(all_cs(c2, item, ctx))
+                parts.append(all_cs(c2, items[i], ctx))
             d = any_dd(parts)
             ctx.note_width(len(d))
         return d
     return all_ck(c, s, ctx, fast)
+
+
+MAX_WIDTH = 1 << 20
+
+
+def _width(s: Schema, neg: bool, ctx: NormContext) -> int:
+    """A static estimate of how many disjuncts s (its negation when neg)
+    spreads into: anyOf sums its items and allOf multiplies them, the two
+    swapping under negation; a reference counts 2 and any other term 1."""
+    while isinstance(s, SNot):
+        # not_push builds a fresh SNot per call; its item is the persistent term
+        s, neg = s.item, not neg
+    if isinstance(s, SRef):
+        return 2
+    if not isinstance(s, (SAllOf, SAnyOf)):
+        return 1
+    entry = ctx.widths.get((id(s), neg))
+    if entry is not None:
+        return entry[1]
+    sums = isinstance(s, SAnyOf) != neg
+    w = 0 if sums else 1
+    for it in s.items:
+        # a loop, not sum(): a generator would cost a frame per nesting level
+        x = _width(it, neg, ctx)
+        w = w + x if sums else w * x
+    w = min(w, MAX_WIDTH)
+    ctx.widths[id(s), neg] = (s, w)
+    return w
 
 
 def fast_check(c: Conj, items: tuple[Schema, ...], ctx: NormContext) -> Dnf:

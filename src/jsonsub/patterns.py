@@ -478,21 +478,24 @@ class _RegexParser:
         if ch in "pP":
             raise UnsupportedRegexFeature(f"unicode property class in regex: {self.src!r}")
         if ch == "x":
-            return self._hex(2)
+            return self._hex(ch, 2)
         if ch == "u":
             if self.peek() == "{":
                 raise MalformedSchema(f"braced unicode escape needs the u flag: {self.src!r}")
-            return self._hex(4)
+            return self._hex(ch, 4)
         if ch == "c":
             raise MalformedSchema(f"control escape in regex: {self.src!r}")
-        if ch.isalnum():
+        if ch.isascii() and ch.isalnum():
             raise MalformedSchema(f"unknown escape \\{ch} in regex: {self.src!r}")
+        # any other character escapes itself (ECMA-262 Annex B identity escape)
         return ord(ch)
 
-    def _hex(self, width: int) -> int:
+    def _hex(self, letter: str, width: int) -> int:
+        """The code unit of \\x or \\u and its run of hex digits. Without the
+        full run the escape is the letter itself, as ECMA-262 Annex B reads it."""
         chunk = self.src[self.pos : self.pos + width]
         if len(chunk) < width or not _HEX_DIGITS.issuperset(chunk):
-            raise MalformedSchema(f"hex escape needs {width} hex digits in regex: {self.src!r}")
+            return ord(letter)
         self.pos += width
         return int(chunk, 16)
 

@@ -300,10 +300,32 @@ def test_a_brace_with_non_ascii_digits_is_a_literal():
 
 
 def test_a_hex_escape_takes_exactly_its_width_of_hex_digits():
-    for bad in ("^\\u1_00$", "^\\x+1$", "^\\x 1$", "^\\u+123$", "\\x٣٣", "\\u1", "\\x"):
-        with pytest.raises(MalformedSchema, match="hex escape"):
-            P.regex(bad)
+    # without its full run of hex digits, \x or \u is the letter itself
+    # (ECMA-262 Annex B), and the characters after it stay literal
+    for src, text in (("^\\u1_00$", "u1_00"), ("^\\x 1$", "x 1"), ("^\\x٣٣$", "x٣٣"),
+                      ("^\\u1$", "u1"), ("^\\x$", "x"), ("^\\u12$", "u12")):
+        e = P.regex(src)
+        assert P.p_matches(e, text), src
+        assert not P.p_matches(e, text[1:]), src
+    assert P.p_matches(P.regex("^\\x+1$"), "xxx1")
+    e = P.regex("^\\u+123$")
+    assert P.p_matches(e, "uuu123") and P.p_matches(e, "u123")
+    assert not P.p_matches(e, "ģ") and not P.p_matches(e, "123")
     assert P.p_matches(P.regex("^\\u0100\\x41$"), "ĀA")
+
+
+def test_annex_b_identity_escapes():
+    assert P.p_matches(P.regex("^\\xg$"), "xg")
+    assert P.p_matches(P.regex("^\\u12$"), "u12")
+    assert P.p_matches(P.regex("^[\\xg]+$"), "gxg")
+    # a character that is no ASCII letter or digit escapes itself
+    for ch in ("é", "٣", "ß", "-", "/"):
+        assert P.p_matches(P.regex(f"^\\{ch}$"), ch)
+        assert P.p_matches(P.regex(f"^[\\{ch}]$"), ch)
+    # an ASCII letter with no escape meaning is still an error
+    for bad in ("\\q", "\\e", "\\A", "[\\q]"):
+        with pytest.raises(MalformedSchema, match="unknown escape"):
+            P.regex(bad)
 
 
 def test_a_repetition_bound_of_thousands_of_digits_is_a_typed_error():
