@@ -58,17 +58,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         max_steps=args.steps,
         timeout=args.timeout,
     )
-    if args.witness_out and result.witness is not None:
+    # null is a witness too, so the verdict says whether there is one
+    if args.witness_out and not result.included:
         _write_text(args.witness_out, dump_json(result.witness, indent=2))
     if args.format == "json":
         payload = {
             "verdict": result.verdict,
-            "witness": None if result.included else json.loads(
-                dump_json(result.witness)
-            ),
+            "witness": result.witness,
             "stats": result.stats.as_dict(),
         }
-        print(json.dumps(payload, sort_keys=True))
+        print(dump_json(payload, indent=None))
     else:
         print(result.verdict)
         if args.stats:
@@ -84,22 +83,22 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         timeout=args.timeout,
     )
     witnesses = {}
-    if result.forward.witness is not None:
+    if not result.forward.included:
         witnesses["left_not_in_right"] = result.forward.witness
-    if result.backward.witness is not None:
+    if not result.backward.included:
         witnesses["right_not_in_left"] = result.backward.witness
     if args.witness_out and witnesses:
         _write_text(args.witness_out, dump_json(witnesses, indent=2))
     if args.format == "json":
         payload = {
             "relation": result.relation,
-            "witnesses": json.loads(dump_json(witnesses)),
+            "witnesses": witnesses,
             "stats": {
                 "forward": result.forward.stats.as_dict(),
                 "backward": result.backward.stats.as_dict(),
             },
         }
-        print(json.dumps(payload, sort_keys=True))
+        print(dump_json(payload, indent=None))
     else:
         print(result.relation)
         if args.stats:

@@ -89,6 +89,8 @@ FAMILIES = {
 
 
 def make_pair(family: str, n: int, m: int = 0) -> tuple[dict, dict]:
+    if n < 1 or m < 0:
+        raise ValueError(f"sizes must be n >= 1 and m >= 0, got n={n}, m={m}")
     try:
         build = FAMILIES[family]
     except KeyError:

@@ -30,14 +30,15 @@ disjuncts and meets the conjunction; an object or array operator is
 inserted into it. A negated type-guarded operator enters as its type,
 which the conjunction meets first, plus its dual (canon.dual).
 
-Reference sets are combined through a memo table on the normalization
-context, which one public routine, memo_dnf, reads and fills for the
-normalizer and the witness stage alike. A conjunction meets each
-disjunct of a memo entry directly, never a schema rendered from it. A
-combination that is currently being normalized is returned as a plain
-union; guardedness of recursion keeps that sound. A combination whose
-body normalizes to the empty disjunction is collapsed to the canonical
-contradictory set, which lets later unions refute instantly.
+Reference sets are normalized through a memo table on the normalization
+context. One routine, memo_dnf, fills it and counts its hits, for the
+normalizer and the witness stage alike; only the witness rounds read its
+settled entries in place. A conjunction meets each disjunct of a memo
+entry directly, never a schema rendered from it. A combination that is
+currently being normalized is returned as a plain union; guardedness of
+recursion keeps that sound. A combination whose body normalizes to the
+empty disjunction is collapsed to the canonical contradictory set, which
+lets later unions refute instantly.
 
 A property pattern that cuts a fragment splits it in two, and every
 requirement of the fragment then picks the side whose field meets it;
@@ -120,6 +121,7 @@ class Stats:
     steps: int = 0
     fast_path_hits: int = 0
     fast_path_misses: int = 0
+    # memo_dnf: sets whose body it started normalizing, and settled entries it found
     crefs_created: int = 0
     memo_hits: int = 0
     max_disjuncts: int = 0
@@ -187,7 +189,6 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
         if memo is IN_PROGRESS:
             # body under normalization higher in the stack; unfold it inline
             return all_cs(c, ctx.env.cref_body(ref), ctx, fast)
-        ctx.stats.memo_hits += 1
         parts = []
         for m in memo:
             parts.append(meet(c, m, ctx))
@@ -293,10 +294,15 @@ def memo_dnf(ref: CRef, ctx: NormContext):
     """The memo entry of a reference set: its body's disjunction, or
     IN_PROGRESS while that body is being normalized higher in the stack.
     A set without an entry is normalized first; its entry reads
-    IN_PROGRESS meanwhile and is dropped again if normalization fails."""
+    IN_PROGRESS meanwhile and is dropped again if normalization fails.
+    Starting an entry counts in crefs_created, finding a settled one in
+    memo_hits."""
     memo = ctx.memo.get(ref)
     if memo is not None:
+        if memo is not IN_PROGRESS:
+            ctx.stats.memo_hits += 1
         return memo
+    ctx.stats.crefs_created += 1
     ctx.memo[ref] = IN_PROGRESS
     try:
         d = all_cs(C_TRUE, ctx.env.cref_body(ref), ctx)
@@ -308,26 +314,20 @@ def memo_dnf(ref: CRef, ctx: NormContext):
 
 
 def all_xx(x: CRef, y: CRef, ctx: NormContext) -> CRef:
-    """Combine two reference sets; collapses to the canonical contradictory
-    set when the union clashes or its body normalizes to nothing."""
+    """Combine two reference sets: their union, kept as it is while its
+    body is being normalized higher in the stack, or the canonical
+    contradictory set when the union clashes or memo_dnf normalizes its
+    body to nothing."""
     ctx.tick()
     u = x.union(y)
     if u == x:
         return x
     if u == y:
         return y
-    env = ctx.env
     if u.has_clash:
-        return env.false_ref()
-    memo = ctx.memo.get(u)
-    if memo is IN_PROGRESS:
-        return u
-    if memo is None:
-        ctx.stats.crefs_created += 1
-        memo = memo_dnf(u, ctx)
-    else:
-        ctx.stats.memo_hits += 1
-    return u if memo else env.false_ref()
+        return ctx.env.false_ref()
+    memo = memo_dnf(u, ctx)
+    return u if memo is IN_PROGRESS or memo else ctx.env.false_ref()
 
 
 # ---------------------------------------------------------------------------
@@ -772,22 +772,16 @@ def refs_of_conj(c: Conj) -> list[CRef]:
 
 def prepare(d: Dnf, ctx: NormContext) -> None:
     """Normalize the body of every reference set reachable from d, so the
-    witness stage can read final disjunctions from the memo."""
+    witness rounds find each in the memo."""
     seen: set[CRef] = set()
     queue: list[CRef] = []
-
-    def push(ref: CRef) -> None:
-        if ref not in seen:
-            seen.add(ref)
-            queue.append(ref)
-
-    for c in d:
-        for ref in refs_of_conj(c):
-            push(ref)
-    while queue:
+    while True:
+        for c in d:
+            for ref in refs_of_conj(c):
+                if ref not in seen:
+                    seen.add(ref)
+                    queue.append(ref)
+        if not queue:
+            return
         ref = queue.pop()
-        if ref.is_empty or ref.has_clash:
-            continue
-        for c in memo_dnf(ref, ctx):
-            for sub in refs_of_conj(c):
-                push(sub)
+        d = D_FALSE if ref.has_clash else memo_dnf(ref, ctx)

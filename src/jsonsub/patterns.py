@@ -855,21 +855,17 @@ def p_is_empty(e: PatternExpr) -> bool:
 
 
 # The two relations are the most frequent calls of normalization, so each
-# decides two key sets inline by set algebra, without automata. A key set
-# with no names is empty or everything, which needs at most one emptiness
-# test of the other side; the rest test the reachable product.
+# decides two key sets inline by set algebra, without automata. Subset is
+# disjointness from the complement. A finite key set against any other
+# pattern is settled by membership tests of its names, and a cofinite one
+# with no names by one emptiness test; the rest test the reachable product.
 def p_subset(a: PatternExpr, b: PatternExpr) -> bool:
-    if type(b) is PKeys:
-        if type(a) is PKeys:
-            na, nb = a.names, b.names
-            if a.cofinite:
-                return b.cofinite and nb <= na
-            return na.isdisjoint(nb) if b.cofinite else na <= nb
-        if b.cofinite and not b.names:
-            return True
-    elif type(a) is PKeys and not a.names:
-        return not a.cofinite or p_is_empty(p_not(b))
-    return a == b or _product_is_empty(a, b, negate_b=True)
+    if type(a) is PKeys and type(b) is PKeys:
+        na, nb = a.names, b.names
+        if a.cofinite:
+            return b.cofinite and nb <= na
+        return na.isdisjoint(nb) if b.cofinite else na <= nb
+    return a == b or p_disjoint(a, p_not(b))
 
 
 def p_disjoint(a: PatternExpr, b: PatternExpr) -> bool:
@@ -882,16 +878,12 @@ def p_disjoint(a: PatternExpr, b: PatternExpr) -> bool:
             if a.cofinite:
                 return not b.cofinite and nb <= na
             return na <= nb if b.cofinite else na.isdisjoint(nb)
+        if not a.cofinite:
+            return not any(map(compile_pattern(b).accepts, na))
         if not na:
-            return not a.cofinite or p_is_empty(b)
-    return _product_is_empty(a, b, negate_b=False)
-
-
-def _product_is_empty(a: PatternExpr, b: PatternExpr, negate_b: bool) -> bool:
-    """Whether no string is in a and in b (in a and not in b when negate_b).
-    Minimizing never changes emptiness, so the raw product answers it."""
-    keep = lambda x, y: x and y != negate_b
-    return not _product(compile_pattern(a), compile_pattern(b), keep).accepting
+            return p_is_empty(b)
+    # minimizing never changes emptiness, so the raw product answers it
+    return not _product(compile_pattern(a), compile_pattern(b), and_).accepting
 
 
 def p_example(e: PatternExpr) -> Optional[str]:

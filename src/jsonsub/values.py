@@ -111,7 +111,8 @@ def json_equal(a: Any, b: Any) -> bool:
 
 
 def dump_json(v: Any, indent: int | None = 2) -> str:
-    """Serialize with exact decimal emission and sorted object keys."""
+    """Serialize with exact decimal emission and sorted object keys. A
+    float, which only a timing is, is written as its repr."""
     pieces: list[str] = []
     _write(v, pieces, indent, 0)
     return "".join(pieces)
@@ -124,6 +125,8 @@ def _write(v: Any, out: list[str], indent: int | None, depth: int) -> None:
         out.append("true" if v else "false")
     elif is_number(v):
         out.append(decimal_repr(Fraction(v)))
+    elif type(v) is float:
+        out.append(repr(v))
     elif isinstance(v, str):
         out.append(json.dumps(v, ensure_ascii=True))
     elif isinstance(v, list):

@@ -1,9 +1,10 @@
 """Bottom-up witness construction for canonical disjunctions.
 
-Reference sets are solved in rounds: each round tries every unsolved set
-whose body disjunction is in the memo, and a set is solved once one of
-its disjuncts yields a value. When a round neither solves a set nor
-meets a new one (lookups normalize sets lazily) the remaining sets are
+Reference sets are solved in rounds over the normalizer's memo, which
+prepare has filled with every set reachable from the root: each round
+tries every unsolved set in it, and a set is solved once one of its
+disjuncts yields a value. When a round neither solves a set nor sees the
+memo grow (lookups normalize sets lazily) the remaining sets are
 unsatisfiable. That conclusion is sound because every reference cycle
 passes through a structural operator, so a witness for a still-open set
 would have to be infinitely deep.
@@ -74,7 +75,7 @@ from .model import (
     SType,
     s_all_of,
 )
-from .norm import NormContext, all_xx, memo_dnf, refs_of_conj
+from .norm import NormContext, all_xx, memo_dnf
 from .values import TYPE_NAMES, canonical_key
 
 UNSAT = object()
@@ -110,38 +111,25 @@ class _Generator:
     # -- fixpoint rounds
 
     def run(self, root: Dnf):
-        universe: set[CRef] = set()
-
-        def note(refs: Iterable[CRef]) -> None:
-            for r in refs:
-                if r not in self.solved and not r.has_clash:
-                    universe.add(r)
-
-        for c in root:
-            note(refs_of_conj(c))
-        note(self.ctx.memo)
-
+        """Rounds over the memo, read in place: each tries the root, then
+        every unsolved set the memo held when it began, smallest first. One
+        that solves nothing while the memo does not grow ends in UNSAT."""
+        memo = self.ctx.memo
         while True:
             self.ctx.stats.gen_rounds += 1
+            # small sets first: their solutions feed the unions built from them
+            refs = sorted(memo, key=lambda r: (len(r.members), r.key()))
             value = self.try_dnf(root)
             if value is not UNSAT:
                 return value
             progress = False
-            # small sets first: their solutions feed the unions built from them
-            for ref in sorted(universe, key=lambda r: (len(r.members), r.key())):
-                if ref in self.solved:
-                    continue
-                memo = self.ctx.memo.get(ref)
-                if not isinstance(memo, tuple):
-                    continue
-                got = self.try_dnf(memo)
-                if got is not UNSAT:
-                    self.solved[ref] = got
-                    progress = True
-            # lookups normalize sets lazily; a set they added is still untried
-            known = len(universe)
-            note(self.ctx.memo)
-            if not progress and len(universe) == known:
+            for ref in refs:
+                if ref not in self.solved:
+                    got = self.try_dnf(memo[ref])
+                    if got is not UNSAT:
+                        self.solved[ref] = got
+                        progress = True
+            if not progress and len(memo) == len(refs):
                 return UNSAT
 
     def try_dnf(self, d: Dnf):

@@ -391,3 +391,39 @@ def test_a_nan_or_infinity_in_an_input_file_is_an_input_error(tmp_path, capsys):
     manifest.write_text("left,right\nright.json,inf.json\n", encoding="utf-8")
     assert main(["batch", str(manifest)]) == 2
     assert "-Infinity is not a JSON number" in capsys.readouterr().err
+
+
+def test_a_null_witness_is_reported(tmp_path, capsys):
+    # the generator tries null first, so null is a witness like any other
+    left = put(tmp_path, "t.json", {})
+    right = put(tmp_path, "s.json", {"type": "string"})
+    out = tmp_path / "w.json"
+    assert main(["check", left, right, "--witness-out", str(out)]) == 1
+    assert capsys.readouterr().out.strip() == "not_included"
+    assert parse_json(out.read_text(encoding="utf-8")) is None
+    assert main(["equiv", left, right, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["relation"] == "left_not_in_right"
+    assert payload["witnesses"] == {"left_not_in_right": None}
+
+
+def test_json_payloads_keep_witness_numbers_exact(tmp_path, capsys):
+    # 0.30000000000000001 is not the float 0.3, which violates the schema
+    point = '{"type":"number","minimum":0.30000000000000001,"maximum":0.30000000000000001}'
+    (tmp_path / "p.json").write_text(point, encoding="utf-8")
+    left = str(tmp_path / "p.json")
+    right = put(tmp_path, "s.json", {"type": "string"})
+    assert main(["check", left, right, "--format", "json"]) == 1
+    payload = parse_json(capsys.readouterr().out)
+    assert satisfies_value(payload["witness"], parse_json(point))
+    assert main(["equiv", left, right, "--format", "json"]) == 1
+    payload = parse_json(capsys.readouterr().out)
+    assert satisfies_value(payload["witnesses"]["left_not_in_right"], parse_json(point))
+
+
+@pytest.mark.parametrize("sizes", [["recDepth", "0"], ["selfIncl", "0", "0"], ["oneofFan", "0"]])
+def test_synth_rejects_sizes_below_one(tmp_path, capsys, sizes):
+    out = tmp_path / "bench"
+    assert main(["synth", *sizes, "--out-dir", str(out)]) == 2
+    assert "sizes must be" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,6 +15,12 @@ so a change that moves the work the normalizer and the witness stage do
 
 A last test reverses the item lists and key orders of the 8000 pairs and
 requires every verdict to stay as it was; witnesses may move.
+
+Run as a script, the module writes the rows and counter sums to a file,
+or lists the rows and counters that moved between two such files:
+
+    PYTHONPATH=src:tests python tests/test_output_pin.py --dump FILE
+    PYTHONPATH=src:tests python tests/test_output_pin.py --diff OLD NEW
 """
 
 import hashlib
@@ -26,17 +32,17 @@ from jsonsub.families import rec_depth, self_incl
 
 from _family import gen_pair
 
-DIGEST = "d020d0a03d8b3f503fcde0fb25e1659a57358632d4b8730f50a39bf86fe5d1fe"
+DIGEST = "13d6588c78eb1c0c0e1c6091364fcf346db4fffa800ff199fc8e0c199f93c3c2"
 
 TOTALS = {
-    "steps": 592_643,
+    "steps": 594_510,
     "fast_path_hits": 9_268,
     "fast_path_misses": 10_132,
-    "crefs_created": 8_091,
-    "memo_hits": 27_518,
+    "crefs_created": 19_895,
+    "memo_hits": 32_111,
     "max_disjuncts": 18_591,
-    "cs_calls": 269_604,
-    "gen_rounds": 3_412,
+    "cs_calls": 271_165,
+    "gen_rounds": 3_406,
     "gen_budget_hits": 0,
     "generation_invoked": 2_673,
 }
@@ -57,20 +63,28 @@ def _checks():
         yield self_incl(n, n)
 
 
-def test_outputs_unchanged_on_the_8054_checks():
-    h = hashlib.sha256()
-    count = 0
+def _outputs():
+    """The (verdict, dump_json(witness)) row of each check, in order, and
+    every Stats field but elapsed summed over them."""
+    rows = []
     totals: Counter = Counter()
     for left, right in _checks():
         res = check_inclusion(left, right)
-        h.update(f"{res.verdict}\t{dump_json(res.witness, indent=None)}\n".encode())
-        count += 1
+        rows.append((res.verdict, dump_json(res.witness, indent=None)))
         stats = res.stats.as_dict()
         del stats["elapsed"]
         totals.update(stats)
-    assert count == 8054
+    return rows, dict(totals)
+
+
+def test_outputs_unchanged_on_the_8054_checks():
+    rows, totals = _outputs()
+    assert len(rows) == 8054
+    h = hashlib.sha256()
+    for verdict, witness in rows:
+        h.update(f"{verdict}\t{witness}\n".encode())
     assert h.hexdigest() == DIGEST
-    assert dict(totals) == TOTALS
+    assert totals == TOTALS
 
 
 _SCHEMA_LISTS = ("allOf", "anyOf", "oneOf")
@@ -104,3 +118,40 @@ def test_verdicts_do_not_depend_on_the_order_of_items_or_keys():
         want = check_inclusion(left, right).verdict
         got = check_inclusion(_reversed(left), _reversed(right)).verdict
         assert got == want, (left, right)
+
+
+def _diff(old: dict, new: dict) -> list[str]:
+    """One line per moved row (`index: old -> new`), then one per moved counter."""
+    lines = [
+        f"{i}: {' '.join(a)} -> {' '.join(b)}"
+        for i, (a, b) in enumerate(zip(old["rows"], new["rows"]))
+        if a != b
+    ]
+    if len(old["rows"]) != len(new["rows"]):
+        lines.append(f"rows: {len(old['rows'])} -> {len(new['rows'])}")
+    for name in old["totals"]:
+        a, b = old["totals"][name], new["totals"].get(name, 0)
+        if a != b:
+            lines.append(f"{name}: {a:,} -> {b:,} ({b - a:+,})")
+    return lines
+
+
+if __name__ == "__main__":
+    import argparse
+    import json
+
+    parser = argparse.ArgumentParser(description="dump or compare the pinned outputs")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dump", metavar="FILE", help="write the rows and counter sums as JSON")
+    mode.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="list what moved")
+    args = parser.parse_args()
+    if args.dump:
+        rows, totals = _outputs()
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            json.dump({"rows": rows, "totals": totals}, fh)
+    else:
+        dumps = []
+        for path in args.diff:
+            with open(path, encoding="utf-8") as fh:
+                dumps.append(json.load(fh))
+        print("\n".join(_diff(*dumps)) or "no change")

@@ -338,6 +338,8 @@ pattern_exprs = st.recursive(
     st.one_of(
         st.sampled_from([P.regex(s) for s in SOURCES[:8]]),
         st.sampled_from([P.key("a"), P.key("b"), P.key("ab")]),
+        st.sampled_from([P.p_or(P.key("a"), P.key("ab")), P.p_not(P.key("b")),
+                         P.p_not(P.p_or(P.key("a"), P.key("b")))]),
         st.integers(0, 3).map(P.min_len),
         st.integers(0, 3).map(P.max_len),
     ),
@@ -380,3 +382,10 @@ def test_example_respects_emptiness(e):
     else:
         assert P.p_matches(e, got)
         assert not P.p_is_empty(e)
+
+
+@given(pattern_exprs, pattern_exprs)
+def test_relations_agree_with_emptiness(a, b):
+    # the relations take shortcuts through key sets; emptiness takes none
+    assert P.p_subset(a, b) == P.p_is_empty(P.p_diff(a, b))
+    assert P.p_disjoint(a, b) == P.p_is_empty(P.p_and(a, b))
