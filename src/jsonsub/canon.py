@@ -12,8 +12,10 @@ The negation rewrite pushes a single negation one level down: a negated
 type-guarded operator becomes its type (OP_TYPE) plus its dual, the
 operators that hold on that type exactly where it fails. Before
 normalization, stratification replaces every structural argument with a
-single-name reference, so that normalization only ever meets references
-there; it walks the loaded terms, which are trees. oneOf is expanded after
+reference set, so that normalization only ever meets references there:
+true becomes the empty set and false the contradictory one, which
+normalization settles without a memo entry, and any other body a single
+name. It walks the loaded terms, which are trees. oneOf is expanded after
 it, into anyOf over exclusive conjunctions that share children between
 branches, which a tree walk would visit once per path.
 """
@@ -33,6 +35,7 @@ from .model import (
     Document,
     Env,
     FALSE,
+    FALSE_REF,
     RefName,
     SAllOf,
     SAnyOf,
@@ -366,9 +369,14 @@ def dual(s: Schema) -> Schema:
 
 
 def _negate_arg(s: Schema) -> Schema:
-    """Negate a structural argument; a stratified one is a single name."""
-    if isinstance(s, SRef) and len(s.ref.members) == 1:
-        return SRefSingle(next(iter(s.ref.members)).negate())
+    """Negate a structural argument. A stratified one is a single name, or
+    the empty set (true) or the contradictory set (false), which swap."""
+    if type(s) is SRef:
+        ref = s.ref
+        if len(ref.members) == 1:
+            return SRefSingle(next(iter(ref.members)).negate())
+        if ref.is_empty or ref == FALSE_REF:
+            return SRef(CREF_TRUE if ref.members else FALSE_REF)
     return s_not(s)
 
 
@@ -409,6 +417,8 @@ def expand_oneof_doc(doc: Document) -> Document:
 class _Stratifier:
     def __init__(self, env: Env):
         self.env = env
+        # a false argument is the contradictory set; its names must resolve
+        self.false_arg = SRef(env.false_ref())
         # by value: a body's own structural arguments are names already
         self.by_body: dict[Schema, RefName] = {}
         self.counter = 0
@@ -428,6 +438,8 @@ class _Stratifier:
 
     def arg(self, s: Schema) -> Schema:
         body = self.walk(s)
+        if type(body) is SBool:
+            return SRef(CREF_TRUE) if body.value else self.false_arg
         if isinstance(body, SRef) and len(body.ref.members) == 1:
             return body
         return SRefSingle(self.name_for(body))
@@ -444,9 +456,11 @@ class _Stratifier:
 
 
 def stratify(doc: Document) -> Document:
-    """doc with every structural argument replaced by a single-name
-    reference, each distinct body bound once. It walks a term once per
-    occurrence, so it runs before expand_oneof_doc shares any."""
+    """doc with every structural argument replaced by a reference set:
+    the empty set for true, the contradictory set for false (its name is
+    bound here) and otherwise a single name, each distinct body bound once.
+    It walks a term once per occurrence, so it runs before
+    expand_oneof_doc shares any."""
     st = _Stratifier(doc.env)
     for name in list(doc.env.bindings):
         doc.env.bindings[name] = st.walk(doc.env.bindings[name])

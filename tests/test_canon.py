@@ -20,16 +20,28 @@ from jsonsub.canon import (
     CTypeSet,
     OP_TYPE,
     conj_to_schema,
+    dual,
     expand_oneof,
     expand_oneof_doc,
     not_push,
     stratify,
 )
-from jsonsub.engine import UniverseParams, compile_validator, iter_universe, satisfies
+from jsonsub.engine import (
+    UniverseParams,
+    compile_validator,
+    iter_universe,
+    load_document,
+    satisfies,
+)
 from jsonsub.model import (
+    CREF_TRUE,
     Document,
     Env,
     FALSE,
+    FALSE_NAME,
+    FALSE_REF,
+    STRUCTURAL,
+    SBool,
     SAllOf,
     SAnyOf,
     SConst,
@@ -49,6 +61,7 @@ from jsonsub.model import (
     SPattern,
     SPatternProps,
     SPatternReq,
+    SRef,
     SRepeatedItems,
     SType,
     STypeSet,
@@ -242,6 +255,59 @@ def test_rewrites_return_a_term_with_nothing_to_rewrite_as_it_is():
     assert expand_oneof(mixed).items[0] is props
     out = stratify(Document(SAllOf((props, SItemAt(0, NUM))), Env()))
     assert out.root.items[0] is props and out.root.items[1] != SItemAt(0, NUM)
+
+
+# true and false structural arguments are the empty and the contradictory
+# reference set, which normalization settles without a memo entry
+
+TRUE_ARG, FALSE_ARG = SRef(CREF_TRUE), SRef(FALSE_REF)
+
+
+def _stratified_args(node):
+    doc = load_document(node)
+    out = stratify(Document(doc.root, doc.env.copy()))
+    return doc, out, [s.schema for s in _walk(out.root) if type(s) in STRUCTURAL]
+
+
+def test_stratify_sends_a_true_argument_to_the_empty_set():
+    _, out, _ = _stratified_args({"required": ["a"]})
+    assert out.root == SPatternReq(P.key("a"), TRUE_ARG)
+
+
+@pytest.mark.parametrize("node", [{"additionalProperties": False}, {"properties": {"a": False}}])
+def test_stratify_sends_a_false_argument_to_the_contradictory_set(node):
+    doc, out, args = _stratified_args(node)
+    assert args == [FALSE_ARG]
+    # the contradictory set's names resolve, so the evaluator reads it
+    before, after = compile_validator(doc.root, doc.env), compile_validator(out.root, out.env)
+    for v in UNIVERSE + [{"a": 1}, {"b": None}]:
+        assert before(v) == after(v), v
+
+
+def test_dual_swaps_the_empty_and_the_contradictory_set():
+    a = P.key("a")
+    assert dual(SPatternReq(a, TRUE_ARG)) == SPatternProps(a, FALSE_ARG)
+    assert dual(SPatternProps(a, FALSE_ARG)) == SPatternReq(a, TRUE_ARG)
+    assert dual(SItemsFrom(1, TRUE_ARG)) == SContainsFrom(1, FALSE_ARG)
+    assert dual(SContainsFrom(1, FALSE_ARG)) == SItemsFrom(1, TRUE_ARG)
+
+
+def test_stratify_binds_no_name_to_a_boolean_body():
+    node = {
+        "properties": {"a": True, "b": False, "c": {"items": [True, False]}},
+        "required": ["a", "c"],
+        "additionalProperties": False,
+        "not": {"contains": True},
+    }
+    _, out, args = _stratified_args(node)
+    assert TRUE_ARG in args and FALSE_ARG in args
+    named = [body for name, body in out.env.bindings.items() if name.uri.startswith("#~s")]
+    assert named and not any(type(body) is SBool for body in named)
+
+
+def test_stratify_binds_the_contradictory_name():
+    _, out, _ = _stratified_args({"required": ["a"]})
+    assert out.env.body(FALSE_NAME) == FALSE
 
 
 FRESH_CONJS = [

@@ -16,8 +16,11 @@ so a change that moves the work the normalizer and the witness stage do
 A last test reverses the item lists and key orders of the 8000 pairs and
 requires every verdict to stay as it was; witnesses may move.
 
-Run as a script, the module writes the rows and counter sums to a file,
-or lists the rows and counters that moved between two such files:
+Run as a script, the module writes the rows, whether each check ran
+witness generation, and the counter sums to a file, or lists what moved
+between two such files: the rows, the rows whose settling stage moved
+(normalization alone or generation), and the counters. A file written
+before the stage was recorded still compares on rows and counters.
 
     PYTHONPATH=src:tests python tests/test_output_pin.py --dump FILE
     PYTHONPATH=src:tests python tests/test_output_pin.py --diff OLD NEW
@@ -32,19 +35,19 @@ from jsonsub.families import rec_depth, self_incl
 
 from _family import gen_pair
 
-DIGEST = "13d6588c78eb1c0c0e1c6091364fcf346db4fffa800ff199fc8e0c199f93c3c2"
+DIGEST = "1e121b9cea220336fd1af0f05e8cde526b8af51cc69500ae5f09fe0e7804ee86"
 
 TOTALS = {
-    "steps": 594_510,
-    "fast_path_hits": 9_268,
-    "fast_path_misses": 10_132,
-    "crefs_created": 19_895,
-    "memo_hits": 32_111,
-    "max_disjuncts": 18_591,
-    "cs_calls": 271_165,
-    "gen_rounds": 3_406,
+    "steps": 542_136,
+    "fast_path_hits": 9_256,
+    "fast_path_misses": 9_927,
+    "crefs_created": 13_588,
+    "memo_hits": 12_772,
+    "max_disjuncts": 18_408,
+    "cs_calls": 250_807,
+    "gen_rounds": 3_364,
     "gen_budget_hits": 0,
-    "generation_invoked": 2_673,
+    "generation_invoked": 2_652,
 }
 
 
@@ -64,21 +67,23 @@ def _checks():
 
 
 def _outputs():
-    """The (verdict, dump_json(witness)) row of each check, in order, and
-    every Stats field but elapsed summed over them."""
-    rows = []
+    """The (verdict, dump_json(witness)) row of each check, in order,
+    whether each check ran witness generation, and every Stats field but
+    elapsed summed over them."""
+    rows, generated = [], []
     totals: Counter = Counter()
     for left, right in _checks():
         res = check_inclusion(left, right)
         rows.append((res.verdict, dump_json(res.witness, indent=None)))
+        generated.append(res.stats.generation_invoked)
         stats = res.stats.as_dict()
         del stats["elapsed"]
         totals.update(stats)
-    return rows, dict(totals)
+    return rows, generated, dict(totals)
 
 
 def test_outputs_unchanged_on_the_8054_checks():
-    rows, totals = _outputs()
+    rows, _, totals = _outputs()
     assert len(rows) == 8054
     h = hashlib.sha256()
     for verdict, witness in rows:
@@ -120,8 +125,13 @@ def test_verdicts_do_not_depend_on_the_order_of_items_or_keys():
         assert got == want, (left, right)
 
 
+_STAGE = {False: "normalization", True: "generation"}
+
+
 def _diff(old: dict, new: dict) -> list[str]:
-    """One line per moved row (`index: old -> new`), then one per moved counter."""
+    """One line per moved row (`index: old -> new`), then one per row whose
+    settling stage moved, when both files record it, then one per moved
+    counter."""
     lines = [
         f"{i}: {' '.join(a)} -> {' '.join(b)}"
         for i, (a, b) in enumerate(zip(old["rows"], new["rows"]))
@@ -129,11 +139,28 @@ def _diff(old: dict, new: dict) -> list[str]:
     ]
     if len(old["rows"]) != len(new["rows"]):
         lines.append(f"rows: {len(old['rows'])} -> {len(new['rows'])}")
+    if "generated" in old and "generated" in new:
+        lines += [
+            f"{i}: settled by {_STAGE[a]} -> {_STAGE[b]}"
+            for i, (a, b) in enumerate(zip(old["generated"], new["generated"]))
+            if a != b
+        ]
     for name in old["totals"]:
         a, b = old["totals"][name], new["totals"].get(name, 0)
         if a != b:
             lines.append(f"{name}: {a:,} -> {b:,} ({b - a:+,})")
     return lines
+
+
+def test_diff_lists_moved_stages_and_reads_a_dump_without_them():
+    old = {"rows": [["included", "null"], ["not_included", "1"]],
+           "generated": [True, True], "totals": {"steps": 5}}
+    new = {"rows": [["included", "null"], ["not_included", "2"]],
+           "generated": [False, True], "totals": {"steps": 4}}
+    moved_row, moved_steps = "1: not_included 1 -> not_included 2", "steps: 5 -> 4 (-1)"
+    assert _diff(old, new) == [moved_row, "0: settled by generation -> normalization", moved_steps]
+    del old["generated"]
+    assert _diff(old, new) == [moved_row, moved_steps]
 
 
 if __name__ == "__main__":
@@ -146,9 +173,9 @@ if __name__ == "__main__":
     mode.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="list what moved")
     args = parser.parse_args()
     if args.dump:
-        rows, totals = _outputs()
+        rows, generated, totals = _outputs()
         with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows, "totals": totals}, fh)
+            json.dump({"rows": rows, "generated": generated, "totals": totals}, fh)
     else:
         dumps = []
         for path in args.diff:
