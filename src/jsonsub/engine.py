@@ -3,11 +3,14 @@
 The has-a-counterexample question "is every instance of the left schema
 also an instance of the right one" is answered in two phases.  First the
 conjunction of the left schema with the negated right schema is driven
-through the lazy DNF normalizer; an empty DNF is already a proof of
-inclusion.  Whatever survives is handed to the witness generator, which
-either produces a concrete counterexample or certifies, by fixpoint, that
-none exists.  Every counterexample is re-checked against the original
-terms with the plain semantic evaluator before it is reported.
+through the lazy DNF normalizer, which streams the root's disjuncts; an
+empty stream is already a proof of inclusion.  Each disjunct is handed to
+the witness generator as it arrives, for a first try against the sets
+solved so far (only the empty set, at first), and the first value ends
+the check.  When no disjunct yields one, they are all prepared, and the
+same generator either produces a counterexample in later rounds or
+certifies, by fixpoint, that none exists.  Every counterexample is re-checked against the original terms with
+the plain semantic evaluator before it is reported.
 Each document is checked for well-formedness once, as it loads
 (`load_document`); a check on raw documents does not walk them again,
 while the `*_terms` entry points check the terms they are given.
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
 from . import patterns as P
-from .canon import expand_oneof_doc, stratify
+from .canon import Conj, expand_oneof_doc, stratify
 from .compat import parse_schema
 from .errors import MalformedSchema, UniverseTooLarge
 from .model import (
@@ -72,7 +75,7 @@ from .model import (
 )
 from .norm import DEFAULT_MAX_STEPS, DEFAULT_TIMEOUT, NormContext, Stats, dnf_of, prepare
 from .values import canonical_key, is_number
-from .witness import UNSAT, generate
+from .witness import UNSAT, Generator, generate
 
 __all__ = [
     "InclusionResult",
@@ -343,14 +346,21 @@ def _decide(s1: Schema, s2: Schema, env: Env, max_steps: int, timeout: float) ->
     doc = expand_oneof_doc(doc)
 
     ctx = NormContext(doc.env, max_steps=max_steps, timeout=timeout)
+    gen = Generator(ctx)
     start = time.monotonic()
     try:
-        root = dnf_of(doc.root, ctx)
-        if not root:
-            return InclusionResult(True, None, ctx.stats)
-        prepare(root, ctx)
-        ctx.stats.generation_invoked = True
-        got = generate(root, ctx)
+        tried: list[Conj] = []
+        for c in dnf_of(doc.root, ctx):
+            tried.append(c)
+            got = gen.first_try(c)
+            if got is not UNSAT:
+                break
+        else:
+            if not tried:
+                return InclusionResult(True, None, ctx.stats)
+            root = tuple(tried)
+            prepare(root, ctx)
+            got = generate(root, ctx, gen)
     finally:
         ctx.stats.elapsed = time.monotonic() - start
 

@@ -1,10 +1,13 @@
 """Normalization of schema conjunctions into canonical disjunctions.
 
-The entry point folds a schema term into a disjunction of canonical
-conjunctions, a plain tuple of them (canon.Dnf), the empty tuple being
-false. It works lazily: all_cs folds an allOf one term at a time over the
-running disjuncts, and refutes it as soon as any prefix collapses to the
-empty disjunction. The fold takes the conjuncts narrowest first, by a
+all_cs folds a schema term into a disjunction of canonical conjunctions,
+a plain tuple of them (canon.Dnf), the empty tuple being false. It works
+lazily: it folds an allOf one term at a time over the running disjuncts,
+and refutes it as soon as any prefix collapses to the empty disjunction.
+The entry point, dnf_of, streams the root's disjunction instead: it
+yields each disjunct of the root's own anyOf items and allOf fold as soon
+as it is built, depth first, so a caller that needs one disjunct does not
+pay for the others. The fold takes the conjuncts narrowest first, by a
 static estimate of the disjuncts each spreads into (_width: anyOf sums,
 allOf multiplies, the two swap under not; a reference counts 2, any other
 term 1; capped at 2^20), so a conjunct that refutes the rest is met
@@ -53,7 +56,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import product as cartesian
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import patterns as P
 from .canon import (
@@ -124,10 +127,15 @@ class Stats:
     # memo_dnf: sets whose body it started normalizing, and settled entries it found
     crefs_created: int = 0
     memo_hits: int = 0
+    # the widest disjunction built; the root's own width, and that of each
+    # level of its fold, are noted only when dnf_of's stream is used up
     max_disjuncts: int = 0
     cs_calls: int = 0
+    # witness rounds: round 1 starts with the first try of the first root
+    # disjunct, so a check that ends at a first try counts 1
     gen_rounds: int = 0
     gen_budget_hits: int = 0
+    # the stream yielded a root disjunct, so the witness stage tried it
     generation_invoked: bool = False
     elapsed: float = 0.0
 
@@ -168,10 +176,64 @@ class NormContext:
             self.stats.max_disjuncts = n
 
 
-def dnf_of(s: Schema, ctx: NormContext) -> Dnf:
-    d = all_cs(C_TRUE, s, ctx)
-    ctx.note_width(len(d))
-    return d
+def dnf_of(s: Schema, ctx: NormContext) -> Iterator[Conj]:
+    """The root disjunction of s as a stream: the disjuncts all_cs(C_TRUE, s)
+    lists, in its order, each yielded as soon as it is built. Only s's own
+    anyOf items and allOf conjuncts are taken lazily; all_cs folds every
+    term below them at once. Each fold level drops the disjuncts it has
+    already yielded, as any_dd does, and the widths of the levels and of
+    the root are noted only once the stream is used up."""
+    if isinstance(s, SAnyOf):
+        ctx.tick()
+        ctx.stats.cs_calls += 1
+        seen: set[Conj] = set()
+        for item in s.items:
+            for c in all_cs(C_TRUE, item, ctx):
+                if c not in seen:
+                    seen.add(c)
+                    yield c
+        ctx.note_width(len(seen))
+    elif isinstance(s, SAllOf):
+        yield from _fold_stream(s.items, ctx)
+    else:
+        d = all_cs(C_TRUE, s, ctx)
+        ctx.note_width(len(d))
+        yield from d
+
+
+def _fold_stream(items: tuple[Schema, ...], ctx: NormContext) -> Iterator[Conj]:
+    """all_cs's fold of an allOf at C_TRUE, depth first. Level i holds the
+    disjuncts of the i+1 narrowest conjuncts; each disjunct a level yields
+    is met with the next conjunct at once. The levels' iterators sit on an
+    explicit stack, so the fold's depth costs no frames. When a level first
+    yields a second disjunct with two or more conjuncts still ahead, those
+    are probed once by fast_check, as all_cs does when its fold spreads."""
+    ctx.tick()
+    ctx.stats.cs_calls += 1
+    items = sorted(items, key=lambda it: _width(it, False, ctx))
+    seen: list[set[Conj]] = [set() for _ in items]
+    chunks = [iter(all_cs(C_TRUE, items[0], ctx))]
+    probed = False
+    while chunks:
+        i = len(chunks) - 1
+        c = next(chunks[i], None)
+        if c is None:
+            chunks.pop()
+            continue
+        if c in seen[i]:
+            continue
+        seen[i].add(c)
+        if i + 1 == len(items):
+            yield c
+            continue
+        if not probed and len(seen[i]) == 2 and i + 2 < len(items):
+            probed = True
+            if not fast_check(C_TRUE, items[i + 1:], ctx):
+                return
+        ctx.tick()
+        chunks.append(iter(all_cs(c, items[i + 1], ctx)))
+    for level in seen:
+        ctx.note_width(len(level))
 
 
 def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:

@@ -1,13 +1,21 @@
 """Bottom-up witness construction for canonical disjunctions.
 
-Reference sets are solved in rounds over the normalizer's memo, which
-prepare has filled with every set reachable from the root: each round
-tries every unsolved set in it, and a set is solved once one of its
-disjuncts yields a value. When a round neither solves a set nor sees the
-memo grow (lookups normalize sets lazily) the remaining sets are
-unsatisfiable. That conclusion is sound because every reference cycle
-passes through a structural operator, so a witness for a still-open set
-would have to be infinitely deep.
+Round 1 starts with first tries: each root disjunct is tried as the
+normalizer's stream yields it, against the sets solved so far, and the
+first value ends the search. The empty reference set is solved from the
+start, by null, the value its one disjunct C_TRUE gives; no other set is
+solved yet, so a first try succeeds only on a disjunct whose fields and
+elements need no more than some value.
+
+Otherwise reference sets are solved in rounds over the normalizer's memo,
+which prepare has filled with every set reachable from the root: each
+round tries every unsolved set in it, and a set is solved once one of its
+disjuncts yields a value; the next round tries the root again. When a
+round solves no set that a try waited on (looked up while unsolved), and
+the memo did not grow (lookups normalize sets lazily), no try can take
+another path, and the remaining sets are unsatisfiable. That conclusion is
+sound because every reference cycle passes through a structural operator,
+so a witness for a still-open set would have to be infinitely deep.
 
 Requirements that must share a field or an array element are grouped by
 one complete search: it tries every partition of the requirements into at
@@ -86,15 +94,28 @@ _OPEN = object()
 _FIRST_VALUE = dict(zip(TYPE_NAMES, (type(None), bool, Fraction, str, list, dict)))
 
 
-def generate(root: Dnf, ctx: NormContext):
-    """A value satisfying some disjunct of root, or UNSAT."""
-    return _Generator(ctx).run(root)
+def generate(root: Dnf, ctx: NormContext, gen: Optional[Generator] = None):
+    """A value satisfying some disjunct of root, or UNSAT. A generator that
+    has already made round 1's first tries of root's disjuncts goes on
+    from there; without one, a fresh generator makes them first."""
+    if gen is None:
+        gen = Generator(ctx)
+        for c in root:
+            got = gen.first_try(c)
+            if got is not UNSAT:
+                return got
+    return gen.run(root)
 
 
-class _Generator:
+class Generator:
     def __init__(self, ctx: NormContext):
         self.ctx = ctx
-        self.solved: dict[CRef, object] = {}
+        # the empty set is solved from the start, by the value round 1
+        # would give its one disjunct C_TRUE
+        self.solved: dict[CRef, object] = {CREF_TRUE: None}
+        # the unsolved sets some try has looked up: only their solutions
+        # can change a later try
+        self.waited: set[CRef] = set()
         # canonical key of a value -> the name bound to "equals the value"
         self.eq_names: dict[object, RefName] = {}
 
@@ -106,31 +127,47 @@ class _Generator:
             return UNSAT
         if ref in self.solved:
             return self.solved[ref]
-        return _OPEN if memo_dnf(ref, self.ctx) else UNSAT
+        if not memo_dnf(ref, self.ctx):
+            return UNSAT
+        self.waited.add(ref)
+        return _OPEN
 
     # -- fixpoint rounds
 
+    def first_try(self, c: Conj):
+        """Round 1's try of one root disjunct, made as the disjunct arrives,
+        against the sets solved so far: a value, or UNSAT. The first one
+        starts the witness stage and its first round."""
+        st = self.ctx.stats
+        if not st.generation_invoked:
+            st.generation_invoked = True
+            st.gen_rounds += 1
+        return self.try_dnf((c,))
+
     def run(self, root: Dnf):
-        """Rounds over the memo, read in place: each tries the root, then
-        every unsolved set the memo held when it began, smallest first. One
-        that solves nothing while the memo does not grow ends in UNSAT."""
+        """Rounds over the memo, read in place, after the first tries of
+        root's disjuncts: each round then tries every unsolved set the memo
+        holds, smallest first. A round that solves no set a try has waited
+        on, while the memo does not grow, ends in UNSAT: a try that met
+        none of the new solutions would take the same path again.
+        Otherwise the next round tries the root again, then the sets."""
         memo = self.ctx.memo
         while True:
-            self.ctx.stats.gen_rounds += 1
             # small sets first: their solutions feed the unions built from them
             refs = sorted(memo, key=lambda r: (len(r.members), r.key()))
-            value = self.try_dnf(root)
-            if value is not UNSAT:
-                return value
             progress = False
             for ref in refs:
                 if ref not in self.solved:
                     got = self.try_dnf(memo[ref])
                     if got is not UNSAT:
                         self.solved[ref] = got
-                        progress = True
+                        progress = progress or ref in self.waited
             if not progress and len(memo) == len(refs):
                 return UNSAT
+            self.ctx.stats.gen_rounds += 1
+            value = self.try_dnf(root)
+            if value is not UNSAT:
+                return value
 
     def try_dnf(self, d: Dnf):
         for c in d:
@@ -333,23 +370,42 @@ class _Generator:
 
     def try_object(self, co: CObject):
         names = [P.p_examples(f.pattern, len(f.reqs)) if f.reqs else [] for f in co.fragments]
-        plans = self.object_plans(co, names, 0, 0)
+        plans = self.object_plans(co, names)
         return _first(self.fill_object(co, names, plan) for plan in plans)
 
-    def object_plans(self, co: CObject, names: list[list[str]], i: int, used: int):
-        """Groupings of fragments i.. under the field budget left after used
-        fields; a block takes a name of its own, so the names the fragment's
-        pattern admits bound its blocks too."""
-        if i == len(co.fragments):
+    def object_plans(self, co: CObject, names: list[list[str]]):
+        """A grouping per fragment, each under the field budget the ones
+        before it leave, every combination in turn, the last fragment's
+        grouping varying fastest; a block takes a name of its own, so the
+        names the fragment's pattern admits bound its blocks too. The
+        fragments' searches sit on an explicit stack, so a plan costs no
+        frame per fragment."""
+        if not co.fragments:
             yield []
             return
+        plan: list[list[tuple[int, CRef]]] = []
+        # (a fragment's groupings, the fields the fragments before it use)
+        searches = [(self.fragment_groupings(co, names, 0, 0), 0)]
+        while searches:
+            groupings, used = searches[-1]
+            blocks = next(groupings, None)
+            if blocks is None:
+                searches.pop()
+                if plan:
+                    plan.pop()
+            elif len(searches) == len(co.fragments):
+                yield plan + [blocks]
+            else:
+                plan.append(blocks)
+                i, used = len(plan), used + len(blocks)
+                searches.append((self.fragment_groupings(co, names, i, used), used))
+
+    def fragment_groupings(self, co: CObject, names: list[list[str]], i: int, used: int):
         frag = co.fragments[i]
         room = len(names[i])
         if co.max_props is not None:
             room = min(room, co.max_props - used)
-        for blocks in self.groupings(frag.ref, tuple((0, r) for r in frag.reqs), room):
-            for rest in self.object_plans(co, names, i + 1, used + len(blocks)):
-                yield [blocks] + rest
+        return self.groupings(frag.ref, tuple((0, r) for r in frag.reqs), room)
 
     def fill_object(self, co: CObject, names: list[list[str]], plan):
         fields: dict[str, object] = {}

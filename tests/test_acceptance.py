@@ -215,7 +215,7 @@ def test_c3_normalization_agreement():
         doc = load_document(parse_json(text))
         doc = stratify(doc)
         doc = expand_oneof_doc(doc)
-        rebuilt = dnf_to_schema(dnf_of(doc.root, NormContext(doc.env)))
+        rebuilt = dnf_to_schema(tuple(dnf_of(doc.root, NormContext(doc.env))))
 
         got = compile_validator(rebuilt, doc.env)
         want = compile_validator(ref.root, ref.env)

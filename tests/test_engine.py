@@ -848,6 +848,12 @@ def test_check_on_a_deep_guarded_cycle():
     assert _on_fresh_stack(check_inclusion, *rec_depth(95)).included
 
 
+def test_an_object_with_many_required_names_costs_no_frame_per_name():
+    left = {"type": "object", "required": [f"n{i}" for i in range(1200)]}
+    result = _on_fresh_stack(check_inclusion, left, {"required": ["zz"]})
+    assert result.verdict == "not_included" and len(result.witness) == 1200
+
+
 def test_required_names_add_no_memo_entries():
     # a required name's argument is the empty set, so {name's set, X} is
     # not a memo entry of its own beside {X}: 289 entries, not 434
@@ -912,6 +918,23 @@ def test_a_wide_conjunct_that_refutes_alone_is_met_before_the_fold_spreads(left,
     left = {"definitions": {"bad": {"allOf": [{"type": "string"}, {"type": "null"}]}}, **left}
     result = check_inclusion(left, right, timeout=5.0)
     assert result.included and result.stats.steps < 1_000
+
+
+@pytest.mark.parametrize("k", [16, 24])
+def test_a_not_included_check_stops_at_its_first_root_disjunct(k):
+    # every one of the 2^k disjuncts is a witness; the root is streamed,
+    # so the first one ends the check
+    left, right = _conflicting_requirements(k), {"required": ["a0"]}
+    result = check_inclusion(left, right, timeout=10.0)
+    assert result.verdict == "not_included" and result.stats.steps < 10_000
+    w = result.witness
+    assert Draft6(left).is_valid(w) and not Draft6(right).is_valid(w)
+
+
+def test_a_root_fold_as_deep_as_the_conjuncts_costs_no_frames():
+    left = {"allOf": [{"anyOf": [{"minimum": -i}, {"type": "string"}]} for i in range(3000)]}
+    result = check_inclusion(left, {"maximum": -1})
+    assert result.verdict == "not_included" and result.witness == 0
 
 
 def test_nested_one_of_under_a_property_ends_in_the_budget():

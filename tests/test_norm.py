@@ -82,7 +82,7 @@ def norm_of(node, **ctx_args):
     doc = stratify(doc)
     doc = expand_oneof_doc(doc)
     ctx = NormContext(doc.env, **ctx_args)
-    return dnf_of(doc.root, ctx), ctx
+    return tuple(dnf_of(doc.root, ctx)), ctx
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_dnf_matches_source_on_universe():
         doc = stratify(doc)
         doc = expand_oneof_doc(doc)
         ctx = NormContext(doc.env)
-        rebuilt = dnf_to_schema(dnf_of(doc.root, ctx))
+        rebuilt = dnf_to_schema(tuple(dnf_of(doc.root, ctx)))
 
         want = compile_validator(ref_doc.root, ref_doc.env)
         got = compile_validator(rebuilt, doc.env)
@@ -176,7 +176,7 @@ def test_meet_is_intersection_on_universe():
             env.bindings.update(d.env.bindings)
         roots = [expand_oneof_doc(stratify(Document(d.root, env))).root for d in ref_docs]
         ctx = NormContext(env)
-        left, right = (dnf_of(r, ctx) for r in roots)
+        left, right = (tuple(dnf_of(r, ctx)) for r in roots)
 
         def accepted(schema):
             holds = compile_validator(schema, env)

@@ -19,7 +19,8 @@ requires every verdict to stay as it was; witnesses may move.
 Run as a script, the module writes the rows, whether each check ran
 witness generation, and the counter sums to a file, or lists what moved
 between two such files: the rows, the rows whose settling stage moved
-(normalization alone or generation), and the counters. A file written
+(normalization alone or generation), and the counters, then one summary
+line that counts the moved verdicts, witnesses and stages. A file written
 before the stage was recorded still compares on rows and counters.
 
     PYTHONPATH=src:tests python tests/test_output_pin.py --dump FILE
@@ -35,17 +36,17 @@ from jsonsub.families import rec_depth, self_incl
 
 from _family import gen_pair
 
-DIGEST = "1e121b9cea220336fd1af0f05e8cde526b8af51cc69500ae5f09fe0e7804ee86"
+DIGEST = "ac73295bd709b152e74a7547e839b6b03c2c15f24498b6e3a2ad959ebb626009"
 
 TOTALS = {
-    "steps": 542_136,
-    "fast_path_hits": 9_256,
-    "fast_path_misses": 9_927,
-    "crefs_created": 13_588,
-    "memo_hits": 12_772,
-    "max_disjuncts": 18_408,
-    "cs_calls": 250_807,
-    "gen_rounds": 3_364,
+    "steps": 490_182,
+    "fast_path_hits": 8_948,
+    "fast_path_misses": 7_931,
+    "crefs_created": 10_468,
+    "memo_hits": 10_580,
+    "max_disjuncts": 16_878,
+    "cs_calls": 217_654,
+    "gen_rounds": 3_093,
     "gen_budget_hits": 0,
     "generation_invoked": 2_652,
 }
@@ -131,25 +132,36 @@ _STAGE = {False: "normalization", True: "generation"}
 def _diff(old: dict, new: dict) -> list[str]:
     """One line per moved row (`index: old -> new`), then one per row whose
     settling stage moved, when both files record it, then one per moved
-    counter."""
-    lines = [
-        f"{i}: {' '.join(a)} -> {' '.join(b)}"
-        for i, (a, b) in enumerate(zip(old["rows"], new["rows"]))
-        if a != b
-    ]
+    counter, then a summary: the moved verdicts, the moved witnesses of
+    rows whose verdict stayed, how many of those got longer or shorter as
+    JSON text, and the moved stages."""
+    moved = [(i, a, b) for i, (a, b) in enumerate(zip(old["rows"], new["rows"])) if a != b]
+    lines = [f"{i}: {' '.join(a)} -> {' '.join(b)}" for i, a, b in moved]
     if len(old["rows"]) != len(new["rows"]):
         lines.append(f"rows: {len(old['rows'])} -> {len(new['rows'])}")
+    stages = None
     if "generated" in old and "generated" in new:
-        lines += [
+        stage_lines = [
             f"{i}: settled by {_STAGE[a]} -> {_STAGE[b]}"
             for i, (a, b) in enumerate(zip(old["generated"], new["generated"]))
             if a != b
         ]
+        lines += stage_lines
+        stages = len(stage_lines)
     for name in old["totals"]:
         a, b = old["totals"][name], new["totals"].get(name, 0)
         if a != b:
             lines.append(f"{name}: {a:,} -> {b:,} ({b - a:+,})")
-    return lines
+    witnesses = [(len(a[1]), len(b[1])) for _, a, b in moved if a[0] == b[0]]
+    longer = sum(b > a for a, b in witnesses)
+    shorter = sum(b < a for a, b in witnesses)
+    summary = (
+        f"moved: {len(moved) - len(witnesses)} verdicts, {len(witnesses)} witnesses"
+        f" ({longer} longer, {shorter} shorter as JSON text)"
+    )
+    if stages is not None:
+        summary += f", {stages} stages"
+    return lines + [summary]
 
 
 def test_diff_lists_moved_stages_and_reads_a_dump_without_them():
@@ -158,9 +170,16 @@ def test_diff_lists_moved_stages_and_reads_a_dump_without_them():
     new = {"rows": [["included", "null"], ["not_included", "2"]],
            "generated": [False, True], "totals": {"steps": 4}}
     moved_row, moved_steps = "1: not_included 1 -> not_included 2", "steps: 5 -> 4 (-1)"
-    assert _diff(old, new) == [moved_row, "0: settled by generation -> normalization", moved_steps]
+    summary = "moved: 0 verdicts, 1 witnesses (0 longer, 0 shorter as JSON text)"
+    assert _diff(old, new) == [
+        moved_row, "0: settled by generation -> normalization", moved_steps, summary + ", 1 stages"
+    ]
     del old["generated"]
-    assert _diff(old, new) == [moved_row, moved_steps]
+    assert _diff(old, new) == [moved_row, moved_steps, summary]
+    # a moved verdict is not counted as a moved witness
+    old["rows"][0], new["rows"][1] = ["not_included", "[]"], ["not_included", "{}"]
+    new["rows"].append(["included", "null"])
+    assert _diff(old, new)[-1] == "moved: 1 verdicts, 1 witnesses (1 longer, 0 shorter as JSON text)"
 
 
 if __name__ == "__main__":
@@ -181,4 +200,4 @@ if __name__ == "__main__":
         for path in args.diff:
             with open(path, encoding="utf-8") as fh:
                 dumps.append(json.load(fh))
-        print("\n".join(_diff(*dumps)) or "no change")
+        print("\n".join(_diff(*dumps)))

@@ -182,6 +182,15 @@ def test_required_chain_refuted_by_fixpoint():
     assert res.stats.generation_invoked is True
 
 
+def test_a_fixpoint_with_nothing_to_solve_takes_one_round():
+    # the empty set is solved before the first round, so a round that
+    # solves only sets no try waited on does not force a second one
+    left = {"minLength": 0, "minProperties": 2}
+    right = {"allOf": [{"items": {"minLength": 0}}, {"items": True}]}
+    res = check_inclusion(left, right)
+    assert res.included and res.stats.gen_rounds == 1
+
+
 def test_distinct_elements_witness():
     left = {"type": "array", "uniqueItems": True, "minItems": 2}
     res = check_inclusion(left, False)
