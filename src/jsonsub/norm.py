@@ -1,17 +1,18 @@
 """Normalization of schema conjunctions into canonical disjunctions.
 
 all_cs folds a schema term into a disjunction of canonical conjunctions,
-a plain tuple of them (canon.Dnf), the empty tuple being false. It works
-lazily: it folds an allOf one term at a time over the running disjuncts,
-and refutes it as soon as any prefix collapses to the empty disjunction.
-The entry point, dnf_of, streams the root's disjunction instead: it
-yields each disjunct of the root's own anyOf items and allOf fold as soon
-as it is built, depth first, so a caller that needs one disjunct does not
-pay for the others. The fold takes the conjuncts narrowest first, by a
-static estimate of the disjuncts each spreads into (_width: anyOf sums,
-allOf multiplies, the two swap under not; a reference counts 2, any other
-term 1; capped at 2^20), so a conjunct that refutes the rest is met
-before a wide one multiplies the running disjuncts. The sort is stable.
+a plain tuple of them (canon.Dnf), the empty tuple being false. An allOf
+has one fold, _fold, which meets its conjuncts one at a time, depth first:
+each disjunct of a prefix meets the next conjunct as soon as it is built,
+and a branch ends as soon as its prefix collapses to the empty
+disjunction. all_cs drains the fold into a tuple. The entry point, dnf_of,
+streams it at the root instead, as it does the root's own anyOf items, so
+a caller that needs one disjunct does not pay for the others. The fold
+takes the conjuncts narrowest first, by a static estimate of the
+disjuncts each spreads into (_width: anyOf sums, allOf multiplies, the
+two swap under not; a reference counts 2, any other term 1; capped at
+2^20), so a conjunct that refutes the rest is met before a wide one
+multiplies the running disjuncts. The sort is stable.
 Expanded oneOfs share children, so the estimate is cached on the context
 by term identity; an entry keeps its term alive, so the id stays its own.
 
@@ -21,11 +22,11 @@ before the terms ahead of it are normalized; it answers with the empty
 disjunction or with the conjunction it was given. It answers liveness
 and builds no conjunction: it stops at the first live outcome. When the
 conjunction is not C_TRUE, or the caller is itself fast, it runs before
-the fold. At C_TRUE it waits until the fold first spreads past one
-disjunct with two or more conjuncts still ahead, and then probes those:
-until then the fold costs no more than the pass would, and a conjunct
-that refutes alone but sorts after a wide one is still met before the
-running disjuncts multiply.
+the fold. At C_TRUE it waits until a level of the fold first yields a
+second disjunct with two or more conjuncts still ahead, and then probes
+those: a fold that does not spread costs no more than the pass would, and
+a conjunct that refutes alone but sorts after a wide one is still met
+before the running disjuncts multiply.
 
 Two canonical conjunctions are intersected by one routine, meet. A type,
 constant, number or string operator enters as its own canonical
@@ -194,44 +195,48 @@ def dnf_of(s: Schema, ctx: NormContext) -> Iterator[Conj]:
                     yield c
         ctx.note_width(len(seen))
     elif isinstance(s, SAllOf):
-        yield from _fold_stream(s.items, ctx)
+        ctx.tick()
+        ctx.stats.cs_calls += 1
+        yield from _fold(C_TRUE, s.items, ctx, False)
     else:
         d = all_cs(C_TRUE, s, ctx)
         ctx.note_width(len(d))
         yield from d
 
 
-def _fold_stream(items: tuple[Schema, ...], ctx: NormContext) -> Iterator[Conj]:
-    """all_cs's fold of an allOf at C_TRUE, depth first. Level i holds the
-    disjuncts of the i+1 narrowest conjuncts; each disjunct a level yields
-    is met with the next conjunct at once. The levels' iterators sit on an
-    explicit stack, so the fold's depth costs no frames. When a level first
-    yields a second disjunct with two or more conjuncts still ahead, those
-    are probed once by fast_check, as all_cs does when its fold spreads."""
-    ctx.tick()
-    ctx.stats.cs_calls += 1
+def _fold(c: Conj, items: tuple[Schema, ...], ctx: NormContext, probed: bool) -> Iterator[Conj]:
+    """The disjuncts of c met with every conjunct of an allOf, narrowest
+    first by _width, in the order a breadth-first fold lists them, each
+    yielded as soon as it is built: all_cs drains them, dnf_of streams them.
+    Level i holds the disjuncts of the i+1 narrowest conjuncts, and a set
+    per level drops those it has already yielded, as any_dd does. The
+    levels' iterators sit on an explicit stack, so an allOf's length costs
+    no frames. Unless probed, the conjuncts still ahead are probed once by
+    fast_check when a level first yields a second disjunct with two or more
+    of them left. The all_cs call that opens each chunk ticks, so the fold
+    does not; the levels' widths are noted once the fold is used up."""
     items = sorted(items, key=lambda it: _width(it, False, ctx))
+    last = len(items) - 1
     seen: list[set[Conj]] = [set() for _ in items]
-    chunks = [iter(all_cs(C_TRUE, items[0], ctx))]
-    probed = False
+    chunks = [iter(all_cs(c, items[0], ctx))]
     while chunks:
         i = len(chunks) - 1
-        c = next(chunks[i], None)
-        if c is None:
+        level = seen[i]
+        for c2 in chunks[i]:
+            if c2 in level:
+                continue
+            level.add(c2)
+            if i == last:
+                yield c2
+                continue
+            if not probed and len(level) == 2 and i + 1 < last:
+                probed = True
+                if not fast_check(c, items[i + 1:], ctx):
+                    return
+            chunks.append(iter(all_cs(c2, items[i + 1], ctx)))
+            break
+        else:
             chunks.pop()
-            continue
-        if c in seen[i]:
-            continue
-        seen[i].add(c)
-        if i + 1 == len(items):
-            yield c
-            continue
-        if not probed and len(seen[i]) == 2 and i + 2 < len(items):
-            probed = True
-            if not fast_check(C_TRUE, items[i + 1:], ctx):
-                return
-        ctx.tick()
-        chunks.append(iter(all_cs(c, items[i + 1], ctx)))
     for level in seen:
         ctx.note_width(len(level))
 
@@ -289,25 +294,7 @@ def all_cs(c: Conj, s: Schema, ctx: NormContext, fast: bool = False) -> Dnf:
             d = fast_check(c, s.items, ctx)
             if fast or not d:
                 return d
-        items = sorted(s.items, key=lambda it: _width(it, False, ctx))
-        d = all_cs(c, items[0], ctx)
-        for i in range(1, len(items)):
-            ctx.tick()
-            if not d:
-                return D_FALSE
-            if not probed and len(d) > 1 and i + 1 < len(items):
-                # the fold has spread, and a wider conjunct still ahead may
-                # refute the allOf alone: probe them before they multiply it
-                probed = True
-                if not fast_check(c, items[i:], ctx):
-                    return D_FALSE
-            # loops, not comprehensions: each would cost a frame per reference level
-            parts = []
-            for c2 in d:
-                parts.append(all_cs(c2, items[i], ctx))
-            d = any_dd(parts)
-            ctx.note_width(len(d))
-        return d
+        return tuple(_fold(c, s.items, ctx, probed))
     return all_ck(c, s, ctx, fast)
 
 
@@ -418,7 +405,11 @@ def meet(c: Conj, c2: Conj, ctx: NormContext) -> Dnf:
     insert = _insert_object if isinstance(c, CObject) else _insert_array
     d = (c,)
     for k in conj_ops(c2):
-        d = _flat_map(d, lambda x, k=k: insert(x, k, ctx))
+        # a loop, not _flat_map: its comprehension and lambda cost frames
+        parts = []
+        for x in d:
+            parts.append(insert(x, k, ctx))
+        d = any_dd(parts)
     return d
 
 

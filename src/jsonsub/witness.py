@@ -206,29 +206,37 @@ class Generator:
     ) -> Iterator[list[tuple[int, CRef]]]:
         """Partitions of the requirements into at most room blocks, finest
         first. A block is (its largest position, base combined with its
-        refs); a block whose refs clash is cut as it forms."""
+        refs); a block whose refs clash is cut as it forms. Per block count,
+        place puts reqs[-1], reqs[-2], ..., reqs[0] in turn, which fixes the
+        order within the count; the placements sit on an explicit stack, so
+        a search costs no frame per requirement."""
         if not reqs:
             yield []
         for target in range(min(len(reqs), room), 0, -1):
-            yield from self.place(base, reqs, [], len(reqs) - 1, target)
+            self.ctx.tick()
+            blocks: list[tuple[int, CRef]] = []
+            stack = [self.place(base, reqs, blocks, len(reqs) - 1, target)]
+            while stack:
+                if not next(stack[-1], False):
+                    stack.pop()
+                    continue
+                self.ctx.tick()
+                j = len(reqs) - 1 - len(stack)
+                if j < 0:
+                    yield list(blocks)
+                else:
+                    stack.append(self.place(base, reqs, blocks, j, target))
 
     def place(self, base: CRef, reqs, blocks: list[tuple[int, CRef]], j: int, target: int):
-        """Completions of blocks to exactly target blocks by placing
-        reqs[j], reqs[j-1], ..., reqs[0]: a new block first, in front of
-        the others, then joining each block in turn. That fixes the order
-        within each block count."""
-        # a method, not a nested closure: a closure that calls itself is a
-        # reference cycle that would keep the check's environment alive
-        self.ctx.tick()
-        if j < 0:
-            yield list(blocks)
-            return
+        """Put reqs[j] on a new block in front of the others, while they are
+        fewer than target, then into each block in turn: yield after each
+        placement and undo it before the next."""
         pos, ref = reqs[j]
         if len(blocks) < target:
             combined = all_xx(base, ref, self.ctx)
             if not combined.has_clash:
                 blocks.insert(0, (pos, combined))
-                yield from self.place(base, reqs, blocks, j - 1, target)
+                yield True
                 del blocks[0]
         if len(blocks) + j < target:
             return  # the rest could no longer open enough blocks
@@ -236,7 +244,7 @@ class Generator:
             combined = all_xx(held, ref, self.ctx)
             if not combined.has_clash:
                 blocks[i] = (max(at, pos), combined)
-                yield from self.place(base, reqs, blocks, j - 1, target)
+                yield True
                 blocks[i] = (at, held)
 
     # -- arrays

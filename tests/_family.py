@@ -174,6 +174,13 @@ def gen_pair(rng: random.Random):
     return _exact(s1), _exact(s2)
 
 
+def alias_chain(n: int) -> dict:
+    """A chain of n $ref-only definitions a0 -> a1 -> ... ending in a string."""
+    defs = {f"a{i}": {"$ref": f"#/definitions/a{i + 1}"} for i in range(n)}
+    defs[f"a{n}"] = {"type": "string"}
+    return {"$ref": "#/definitions/a0", "definitions": defs}
+
+
 def _exact(schema):
     return parse_json(json.dumps(schema))
 

@@ -44,7 +44,7 @@ from jsonsub.model import (
 from jsonsub.values import canonical_key, dump_json, parse_json
 
 from _draft6 import Draft6
-from _family import gen_pair, gen_schema, universe_for
+from _family import alias_chain, gen_pair, gen_schema, universe_for
 
 
 def exact(node):
@@ -805,19 +805,13 @@ def test_structural_arguments_naming_several_references():
 # loading long reference chains does not nest calls per reference
 
 
-def _alias_chain(n: int) -> dict:
-    defs = {f"a{i}": {"$ref": f"#/definitions/a{i + 1}"} for i in range(n)}
-    defs[f"a{n}"] = {"type": "string"}
-    return {"$ref": "#/definitions/a0", "definitions": defs}
-
-
 def test_load_document_on_a_deep_guarded_cycle():
     doc = load_document(exact(rec_depth(2000)[0]))
     assert len(doc.env.bindings) == 2000
 
 
 def test_load_document_on_a_long_alias_chain():
-    doc = load_document(exact(_alias_chain(2000)))
+    doc = load_document(exact(alias_chain(2000)))
     assert len(doc.env.bindings) == 2001
 
 
@@ -828,7 +822,7 @@ def test_satisfies_value_on_a_deep_guarded_cycle():
 
 
 def test_alias_cycle_is_still_an_unguarded_cycle():
-    node = _alias_chain(3)
+    node = alias_chain(3)
     node["definitions"]["a3"] = {"$ref": "#/definitions/a1"}
     with pytest.raises(MalformedSchema, match="unguarded reference cycle"):
         load_document(exact(node))
@@ -845,13 +839,21 @@ def _on_fresh_stack(fn, *args):
 
 
 def test_check_on_a_deep_guarded_cycle():
-    assert _on_fresh_stack(check_inclusion, *rec_depth(95)).included
+    assert _on_fresh_stack(check_inclusion, *rec_depth(115)).included
 
 
 def test_an_object_with_many_required_names_costs_no_frame_per_name():
     left = {"type": "object", "required": [f"n{i}" for i in range(1200)]}
     result = _on_fresh_stack(check_inclusion, left, {"required": ["zz"]})
     assert result.verdict == "not_included" and len(result.witness) == 1200
+
+
+def test_an_array_with_many_contains_obligations_costs_no_frame_per_obligation():
+    # a grouping search a frame deeper per obligation would overflow the
+    # stack long before this budget runs out
+    left = {"type": "array", "allOf": [{"contains": {"const": i}} for i in range(1000)]}
+    with pytest.raises(BudgetExceeded):
+        _on_fresh_stack(lambda: check_inclusion(left, {"maxItems": 0}, max_steps=10_000))
 
 
 def test_required_names_add_no_memo_entries():
@@ -861,7 +863,7 @@ def test_required_names_add_no_memo_entries():
 
 
 def test_check_on_a_long_alias_chain():
-    chain, string = _alias_chain(300), {"type": "string"}
+    chain, string = alias_chain(300), {"type": "string"}
     assert _on_fresh_stack(check_inclusion, chain, string).included
     assert _on_fresh_stack(check_inclusion, string, chain).included
 

@@ -17,6 +17,7 @@ import pytest
 from jsonsub import canon
 from jsonsub import patterns as P
 from jsonsub.canon import (
+    C_TRUE,
     OP_TYPE,
     CArray,
     CNumber,
@@ -65,6 +66,8 @@ from jsonsub.model import (
     SRepeatedItems,
     SType,
     SUniqueItems,
+    s_all_of,
+    s_not,
 )
 from jsonsub.norm import NormContext, all_ck, all_cs, dnf_of, meet, prepare
 from jsonsub.values import parse_json
@@ -155,6 +158,22 @@ def test_dnf_matches_source_on_universe():
         got = compile_validator(rebuilt, doc.env)
         for value in iter_universe(params):
             assert got(value) == want(value), (node, value)
+
+
+def test_the_root_stream_lists_what_all_cs_drains():
+    # dnf_of streams the allOf fold that all_cs drains: the same disjuncts
+    # in the same order, each side with a memo of its own
+    rng = random.Random(7)
+    for _ in range(1000):
+        left, right = gen_pair(rng)
+        docs = [load_document(left, "left"), load_document(right, "right")]
+        env = Env()
+        for d in docs:
+            env.bindings.update(d.env.bindings)
+        root = s_all_of((docs[0].root, s_not(docs[1].root)))
+        doc = expand_oneof_doc(stratify(Document(root, env)))
+        streamed = tuple(dnf_of(doc.root, NormContext(doc.env)))
+        assert streamed == all_cs(C_TRUE, doc.root, NormContext(doc.env)), (left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,15 @@ A last test reverses the item lists and key orders of the 8000 pairs and
 requires every verdict to stay as it was; witnesses may move.
 
 Run as a script, the module writes the rows, whether each check ran
-witness generation, and the counter sums to a file, or lists what moved
-between two such files: the rows, the rows whose settling stage moved
-(normalization alone or generation), and the counters, then one summary
-line that counts the moved verdicts, witnesses and stages. A file written
-before the stage was recorded still compares on rows and counters.
+witness generation, the counter sums and the depth limits to a file, or
+lists what moved between two such files: the rows, the rows whose settling
+stage moved (normalization alone or generation), the counters and the
+limits, then one summary line that counts the moved verdicts, witnesses
+and stages. The limits are the largest n at which `rec_depth(n)`, an
+`_family.alias_chain(n)` against `{"type": "string"}` and the reverse check
+settle on a thread of their own rather than raise `RecursionError`, found
+by bisection up to a cap. A file written before the stage or the limits
+were recorded still compares on the rest.
 
     PYTHONPATH=src:tests python tests/test_output_pin.py --dump FILE
     PYTHONPATH=src:tests python tests/test_output_pin.py --diff OLD NEW
@@ -30,22 +34,23 @@ before the stage was recorded still compares on rows and counters.
 import hashlib
 import random
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 from jsonsub import check_inclusion, dump_json
 from jsonsub.families import rec_depth, self_incl
 
-from _family import gen_pair
+from _family import alias_chain, gen_pair
 
 DIGEST = "ac73295bd709b152e74a7547e839b6b03c2c15f24498b6e3a2ad959ebb626009"
 
 TOTALS = {
-    "steps": 490_182,
+    "steps": 451_854,
     "fast_path_hits": 8_948,
     "fast_path_misses": 7_931,
     "crefs_created": 10_468,
     "memo_hits": 10_580,
     "max_disjuncts": 16_878,
-    "cs_calls": 217_654,
+    "cs_calls": 217_711,
     "gen_rounds": 3_093,
     "gen_budget_hits": 0,
     "generation_invoked": 2_652,
@@ -126,15 +131,52 @@ def test_verdicts_do_not_depend_on_the_order_of_items_or_keys():
         assert got == want, (left, right)
 
 
+def _settles(left, right) -> bool:
+    """Whether the check ends, rather than in RecursionError, on a thread
+    of its own, so that the caller's frames take none of its depth."""
+    def run():
+        try:
+            check_inclusion(left, right)
+        except RecursionError:
+            return False
+        return True
+
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(run).result()
+
+
+def _deepest(pair, lo: int, cap: int) -> int:
+    """The largest n below cap at which the check pair(n) settles, by
+    bisection; pair(lo) settles, and cap - 1 means every n tried did."""
+    hi = cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _settles(*pair(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _limits() -> dict:
+    string = {"type": "string"}
+    return {
+        "rec_depth": _deepest(rec_depth, 8, 1024),
+        "chain_in_string": _deepest(lambda n: (alias_chain(n), string), 1, 4096),
+        "string_in_chain": _deepest(lambda n: (string, alias_chain(n)), 1, 4096),
+    }
+
+
 _STAGE = {False: "normalization", True: "generation"}
 
 
 def _diff(old: dict, new: dict) -> list[str]:
     """One line per moved row (`index: old -> new`), then one per row whose
     settling stage moved, when both files record it, then one per moved
-    counter, then a summary: the moved verdicts, the moved witnesses of
-    rows whose verdict stayed, how many of those got longer or shorter as
-    JSON text, and the moved stages."""
+    counter, then one per moved limit, when both files record them, then a
+    summary: the moved verdicts, the moved witnesses of rows whose verdict
+    stayed, how many of those got longer or shorter as JSON text, and the
+    moved stages."""
     moved = [(i, a, b) for i, (a, b) in enumerate(zip(old["rows"], new["rows"])) if a != b]
     lines = [f"{i}: {' '.join(a)} -> {' '.join(b)}" for i, a, b in moved]
     if len(old["rows"]) != len(new["rows"]):
@@ -152,6 +194,10 @@ def _diff(old: dict, new: dict) -> list[str]:
         a, b = old["totals"][name], new["totals"].get(name, 0)
         if a != b:
             lines.append(f"{name}: {a:,} -> {b:,} ({b - a:+,})")
+    for name, a in old.get("limits", {}).items():
+        b = new.get("limits", {}).get(name, a)
+        if a != b:
+            lines.append(f"limit {name}: {a} -> {b} ({b - a:+})")
     witnesses = [(len(a[1]), len(b[1])) for _, a, b in moved if a[0] == b[0]]
     longer = sum(b > a for a, b in witnesses)
     shorter = sum(b < a for a, b in witnesses)
@@ -166,16 +212,23 @@ def _diff(old: dict, new: dict) -> list[str]:
 
 def test_diff_lists_moved_stages_and_reads_a_dump_without_them():
     old = {"rows": [["included", "null"], ["not_included", "1"]],
-           "generated": [True, True], "totals": {"steps": 5}}
+           "generated": [True, True], "totals": {"steps": 5},
+           "limits": {"rec_depth": 97, "string_in_chain": 325}}
     new = {"rows": [["included", "null"], ["not_included", "2"]],
-           "generated": [False, True], "totals": {"steps": 4}}
+           "generated": [False, True], "totals": {"steps": 4},
+           "limits": {"rec_depth": 121, "string_in_chain": 325}}
     moved_row, moved_steps = "1: not_included 1 -> not_included 2", "steps: 5 -> 4 (-1)"
+    moved_limit = "limit rec_depth: 97 -> 121 (+24)"
     summary = "moved: 0 verdicts, 1 witnesses (0 longer, 0 shorter as JSON text)"
     assert _diff(old, new) == [
-        moved_row, "0: settled by generation -> normalization", moved_steps, summary + ", 1 stages"
+        moved_row, "0: settled by generation -> normalization", moved_steps, moved_limit,
+        summary + ", 1 stages",
     ]
     del old["generated"]
+    assert _diff(old, new) == [moved_row, moved_steps, moved_limit, summary]
+    del old["limits"]
     assert _diff(old, new) == [moved_row, moved_steps, summary]
+    assert _diff(new, old)[-2:] == ["steps: 4 -> 5 (+1)", summary]
     # a moved verdict is not counted as a moved witness
     old["rows"][0], new["rows"][1] = ["not_included", "[]"], ["not_included", "{}"]
     new["rows"].append(["included", "null"])
@@ -193,8 +246,9 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.dump:
         rows, generated, totals = _outputs()
+        dump = {"rows": rows, "generated": generated, "totals": totals, "limits": _limits()}
         with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows, "generated": generated, "totals": totals}, fh)
+            json.dump(dump, fh)
     else:
         dumps = []
         for path in args.diff:
