@@ -7,6 +7,11 @@ disjuncts keep per-index slots, one tail constraint, containment
 obligations at or past the tail start, and length bounds; number
 disjuncts keep one interval, one combined factor, and excluded factors.
 A disjunction (Dnf) is an alias for a plain tuple of such disjuncts.
+Conjunctions and fragments are values by contract, as the terms of
+`model` are. The classes do not enforce it, because a frozen dataclass
+pays an `object.__setattr__` per field on every construction. Fragment,
+CNumber and CArray compute their hash on first use and keep it; CObject
+computes its hash when built.
 
 The negation rewrite pushes a single negation one level down: a negated
 type-guarded operator becomes its type (OP_TYPE) plus its dual, the
@@ -22,7 +27,7 @@ branches, which a tree walk would visit once per path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import is_not
 from typing import Iterable, Optional, Sequence
@@ -84,7 +89,7 @@ class Conj:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CTypeSet(Conj):
     types: frozenset[str]
 
@@ -92,12 +97,12 @@ class CTypeSet(Conj):
 C_TRUE = CTypeSet(ALL_TYPES)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CBoolean(Conj):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CNumber(Conj):
     lo: Optional[Fraction] = None
     lo_strict: bool = False
@@ -105,14 +110,23 @@ class CNumber(Conj):
     hi_strict: bool = False
     factor: Optional[Fraction] = None
     excluded: tuple[Fraction, ...] = ()
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(
+                (self.lo, self.lo_strict, self.hi, self.hi_strict, self.factor, self.excluded)
+            )
+        return h
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CString(Conj):
     pattern: P.PatternExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Fragment:
     """One block of the property-name partition: all fields whose name
     matches the pattern take values under ref; each entry of reqs demands
@@ -121,6 +135,13 @@ class Fragment:
     pattern: P.PatternExpr
     ref: CRef
     reqs: tuple[CRef, ...] = ()
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.pattern, self.ref, self.reqs))
+        return h
 
     def with_reqs(self, reqs: Iterable[CRef]) -> "Fragment":
         return Fragment(self.pattern, self.ref, sort_reqs(reqs))
@@ -190,7 +211,7 @@ class CObject(Conj):
         return CObject(tuple(out), self.min_props, self.max_props)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CArray(Conj):
     items: tuple[CRef, ...] = ()
     tail: CRef = CREF_TRUE
@@ -198,6 +219,15 @@ class CArray(Conj):
     min_items: int = 0
     max_items: Optional[int] = None
     unique: Optional[bool] = None
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(
+                (self.items, self.tail, self.contains, self.min_items, self.max_items, self.unique)
+            )
+        return h
 
 
 # a disjunction of canonical conjunctions; the empty one is false

@@ -171,7 +171,7 @@ class _Parser:
         if isinstance(value, bool):
             return SConst(value)
         if is_number(value):
-            return SConst(Fraction(value))
+            return SConst(_exact(value))
         if isinstance(value, str):
             return s_all_of((SType("string"), SPattern(P.key(value))))
         raise UnsupportedKeyword(keyword, f"{keyword} member of array or object type")
@@ -248,12 +248,12 @@ class _Parser:
                     )
                 if not is_number(value):
                     raise MalformedSchema(f"{kw} must be a number: {value!r}")
-                conj.append(ctor(Fraction(value), exclusive))
+                conj.append(ctor(_exact(value), exclusive))
         if "multipleOf" in node:
             value = node["multipleOf"]
-            if isinstance(value, bool) or not is_number(value) or Fraction(value) <= 0:
+            if isinstance(value, bool) or not is_number(value) or (q := _exact(value)) <= 0:
                 raise MalformedSchema(f"multipleOf must be a positive number: {value!r}")
-            conj.append(SMultipleOf(Fraction(value)))
+            conj.append(SMultipleOf(q))
 
     def _strings(self, node: dict, conj: list[Schema]) -> None:
         if "pattern" in node:
@@ -299,10 +299,16 @@ def _expect_object(node: Any, keyword: str) -> dict:
     return node
 
 
+def _exact(value: Any) -> Fraction:
+    """A number as a Fraction. parse_json already made its numbers exact,
+    so only numbers built by a library caller (plain ints) are converted."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _expect_count(node: Any, keyword: str) -> int:
     if isinstance(node, bool) or not is_number(node):
         raise MalformedSchema(f"{keyword} must be a non-negative integer: {node!r}")
-    q = Fraction(node)
+    q = _exact(node)
     if q.denominator != 1 or q < 0:
         raise MalformedSchema(f"{keyword} must be a non-negative integer: {node!r}")
     return int(q)

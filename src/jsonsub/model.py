@@ -1,8 +1,16 @@
 """Algebraic schema terms, reference sets, and the binding environment.
 
-Terms are immutable. Structural operators (property, required-field,
-item, tail, containment) are vacuously satisfied by values of any other
-type; type assertions and bounds carry the actual type commitments.
+Terms are values: no code assigns to a field of a term once it is built.
+The classes do not enforce this. A frozen dataclass stores each field
+through `object.__setattr__`, and a sampled profile of the benchmark
+workloads put that construction at 13-17% of their time, so terms are
+plain slotted dataclasses. CRef computes its hash when built; RefName
+here, and PKeys, Fragment, CNumber and CArray elsewhere, compute theirs
+on first use and keep it, which a later assignment would make stale.
+
+Structural operators (property, required-field, item, tail, containment)
+are vacuously satisfied by values of any other type; type assertions and
+bounds carry the actual type commitments.
 Smart constructors keep boolean combinations flat and collapse double
 negation. They and the traversal helpers dispatch on a term's exact type
 (`type(s) is SBool`, a table from term type to children), never on
@@ -14,7 +22,7 @@ negation of its twin's body, derived on each read and never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
@@ -26,10 +34,17 @@ from .values import TYPE_NAMES
 ALL_TYPES = frozenset(TYPE_NAMES)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RefName:
     uri: str
     negated: bool = False
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.uri, self.negated))
+        return h
 
     def negate(self) -> "RefName":
         return RefName(self.uri, not self.negated)
@@ -44,14 +59,11 @@ class CRef:
     __slots__ = ("members", "_hash", "has_clash")
 
     def __init__(self, members: Iterable[RefName] = ()):
-        members = frozenset(members)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_hash", hash(members))
+        self.members = members = frozenset(members)
+        self._hash = hash(members)
         # a name and its negation share a uri; read far more often than built,
         # and most sets are built from one name
-        object.__setattr__(
-            self, "has_clash", len(members) > 1 and len({m.uri for m in members}) < len(members)
-        )
+        self.has_clash = len(members) > 1 and len({m.uri for m in members}) < len(members)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CRef) and self.members == other.members
@@ -100,7 +112,7 @@ class Schema:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SBool(Schema):
     value: bool
 
@@ -109,12 +121,12 @@ TRUE = SBool(True)
 FALSE = SBool(False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SType(Schema):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class STypeSet(Schema):
     names: frozenset[str]
 
@@ -136,44 +148,44 @@ class _ConstTerm(Schema):
         return hash((type(self), isinstance(self.value, bool), self.value))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SConst(_ConstTerm):
     # payload is a boolean or an exact number; other constants are encoded
     # with type and pattern operators before terms are built
     value: object
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SNotConst(_ConstTerm):
     value: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SRef(Schema):
     ref: CRef
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SAllOf(Schema):
     items: tuple[Schema, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SAnyOf(Schema):
     items: tuple[Schema, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SOneOf(Schema):
     items: tuple[Schema, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SNot(Schema):
     item: Schema
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SPatternProps(Schema):
     """Every field whose name matches the pattern has a value in the schema."""
 
@@ -181,7 +193,7 @@ class SPatternProps(Schema):
     schema: Schema
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SPatternReq(Schema):
     """Some field whose name matches the pattern has a value in the schema."""
 
@@ -189,17 +201,17 @@ class SPatternReq(Schema):
     schema: Schema
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMinProps(Schema):
     bound: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMaxProps(Schema):
     bound: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SItemAt(Schema):
     """If a value exists at this index, it satisfies the schema."""
 
@@ -207,7 +219,7 @@ class SItemAt(Schema):
     schema: Schema
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SItemsFrom(Schema):
     """Every value at this index or later satisfies the schema."""
 
@@ -215,7 +227,7 @@ class SItemsFrom(Schema):
     schema: Schema
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SContainsFrom(Schema):
     """Some value at this index or later satisfies the schema."""
 
@@ -223,49 +235,49 @@ class SContainsFrom(Schema):
     schema: Schema
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMinItems(Schema):
     bound: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMaxItems(Schema):
     bound: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SUniqueItems(Schema):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SRepeatedItems(Schema):
     """Satisfied by arrays with at least one duplicated element."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMinimum(Schema):
     bound: Fraction
     exclusive: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMaximum(Schema):
     bound: Fraction
     exclusive: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SMultipleOf(Schema):
     factor: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SNotMultipleOf(Schema):
     factor: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SPattern(Schema):
     pattern: PatternExpr
 

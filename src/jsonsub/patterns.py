@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import and_, itemgetter, or_
 from typing import Iterable, Optional
@@ -94,7 +94,8 @@ def _complement(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
 
 
 class PatternExpr:
-    """Base class; subclasses are frozen and hash-comparable."""
+    """Base class; subclasses are values by contract (see `model`) and
+    hash-comparable."""
 
     __slots__ = ()
 
@@ -102,7 +103,7 @@ class PatternExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PRegex(PatternExpr):
     source: str
 
@@ -110,18 +111,25 @@ class PRegex(PatternExpr):
         return (1, self.source)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PKeys(PatternExpr):
     """The listed names, or every string except them when cofinite."""
 
     names: frozenset[str]
     cofinite: bool = False
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.names, self.cofinite))
+        return h
 
     def _rank(self):
         return (0, self.cofinite, tuple(sorted(self.names)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PMinLen(PatternExpr):
     bound: int
 
@@ -129,7 +137,7 @@ class PMinLen(PatternExpr):
         return (2, self.bound)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PMaxLen(PatternExpr):
     bound: int
 
@@ -137,7 +145,7 @@ class PMaxLen(PatternExpr):
         return (3, self.bound)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PNot(PatternExpr):
     item: PatternExpr
 
@@ -145,7 +153,7 @@ class PNot(PatternExpr):
         return (4, self.item._rank())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PAll(PatternExpr):
     items: tuple[PatternExpr, ...]
 
@@ -153,7 +161,7 @@ class PAll(PatternExpr):
         return (5, tuple(i._rank() for i in self.items))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PAny(PatternExpr):
     items: tuple[PatternExpr, ...]
 

@@ -1,5 +1,6 @@
 """Term representation, signed references, environments, well-formedness."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,17 +8,20 @@ from fractions import Fraction
 import pytest
 
 from jsonsub import patterns as P
-from jsonsub.canon import expand_oneof_doc, stratify
+from jsonsub.canon import CArray, CNumber, CObject, Conj, Fragment, expand_oneof_doc, stratify
 from jsonsub.compat import parse_schema
 from jsonsub.errors import UnresolvableRef
+from jsonsub.norm import NormContext, dnf_of, prepare
 from jsonsub.families import rec_depth, self_incl
 from jsonsub.model import (
     CREF_TRUE,
+    CRef,
     Document,
     Env,
     FALSE,
     RefName,
     SAllOf,
+    Schema,
     SAnyOf,
     SBool,
     SConst,
@@ -320,3 +324,100 @@ def test_child_schemas_of_every_term_type():
     assert child_schemas(SPatternReq(P.key("a"), x)) == (x,)
     for leaf in (x, TRUE, SType("null"), SConst(True)):
         assert child_schemas(leaf) == ()
+
+
+# ---------------------------------------------------------------------------
+# Terms are values: nothing assigns to a field once a term is built, which
+# the classes do not enforce (a frozen dataclass pays for it on every
+# construction), and RefName, PKeys, Fragment, CNumber and CArray keep the
+# hash of their first use.
+
+
+def _rebuilt(x):
+    """x built again through its constructor from its init fields."""
+    if type(x) is CRef:
+        return CRef(x.members)
+    if type(x) is CObject:
+        return CObject(x.fragments, x.min_props, x.max_props)
+    return type(x)(**{f.name: getattr(x, f.name) for f in dataclasses.fields(x) if f.init})
+
+
+def _parts(x) -> tuple:
+    """The values x is built from."""
+    if type(x) is CRef:
+        return tuple(x.members)
+    if type(x) is CObject:
+        return x.fragments
+    if dataclasses.is_dataclass(x):
+        return tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.init)
+    if isinstance(x, (tuple, frozenset)):
+        return tuple(x)
+    return ()
+
+
+def _terms_in(roots) -> list:
+    """Every term, conjunction, fragment, reference set, name and pattern
+    reachable from roots, each object once."""
+    out, seen, stack = [], set(), list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if type(x) in (CRef, CObject) or dataclasses.is_dataclass(x):
+            out.append(x)
+        stack.extend(_parts(x))
+    return out
+
+
+def test_terms_equal_and_hash_like_their_rebuilt_copies():
+    rng = random.Random(5)
+    kinds: Counter = Counter()
+    for _ in range(200):
+        left, right = gen_pair(rng)
+        ldoc, rdoc = parse_schema(left, "left"), parse_schema(right, "right")
+        env = Env({**ldoc.env.bindings, **rdoc.env.bindings})
+        doc = stratify(Document(s_all_of((ldoc.root, s_not(rdoc.root))), env))
+        doc = expand_oneof_doc(doc)
+        ctx = NormContext(doc.env)
+        root = tuple(dnf_of(doc.root, ctx))
+        prepare(root, ctx)
+        memo = [d for d in ctx.memo.values() if isinstance(d, tuple)]
+        for x in _terms_in([doc.root, *doc.env.bindings.values(), root, *ctx.memo, *memo]):
+            y = _rebuilt(x)
+            assert y == x and hash(y) == hash(x), x
+            kinds[type(x).__name__] += 1
+    for name in ("RefName", "CRef", "SRef", "SPatternProps", "PKeys", "Fragment", "CObject",
+                 "CArray", "CNumber", "CString", "CTypeSet"):
+        assert kinds[name] > 0, name
+
+
+def test_replace_never_carries_a_cached_hash_over():
+    two, four = Fraction(2), Fraction(4)
+    for old, changes, fresh in (
+        (CArray(min_items=1), {"min_items": 2}, CArray(min_items=2)),
+        (CArray(unique=True), {"unique": None}, CArray()),
+        (CNumber(lo=two), {"lo": four}, CNumber(lo=four)),
+        (CNumber(factor=two), {"excluded": (four,)}, CNumber(factor=two, excluded=(four,))),
+    ):
+        hash(old)
+        new = dataclasses.replace(old, **changes)
+        assert new == fresh and hash(new) == hash(fresh)
+        assert new != old
+
+
+def _subclasses(cls: type) -> list[type]:
+    out = []
+    for sub in cls.__subclasses__():
+        out.append(sub)
+        out.extend(_subclasses(sub))
+    return out
+
+
+def test_no_term_class_is_a_frozen_dataclass():
+    classes = [*_subclasses(Schema), *_subclasses(Conj), *_subclasses(P.PatternExpr),
+               Fragment, RefName]
+    assert len(classes) > 35
+    frozen = [c.__name__ for c in classes
+              if dataclasses.is_dataclass(c) and c.__dataclass_params__.frozen]
+    assert frozen == []
